@@ -75,17 +75,20 @@ def host_metrics_digest(host_metrics: Optional[Dict[str, Any]]) -> Optional[str]
 
 def build_row(passed: bool, failures: List[str],
               fast_path: Optional[Dict[str, Any]] = None,
-              vector: Optional[Dict[str, Any]] = None,
+              kernel_256: Optional[Dict[str, Any]] = None,
               sweep_report: Optional[Any] = None,
               serve: Optional[Dict[str, Any]] = None,
               tolerance: Optional[float] = None,
               now: Optional[float] = None) -> Dict[str, Any]:
     """Fold one gate run's fresh measurements into a trajectory row.
 
-    *fast_path* / *vector* / *serve* are the fresh dicts from
-    ``check_regression.run_fast_path`` / ``run_vector_kernel`` /
+    *fast_path* / *kernel_256* / *serve* are the fresh dicts from
+    ``check_regression.run_fast_path`` / ``run_kernel_256`` /
     ``bench_serve.run_serve_bench``; *sweep_report* is the ``--full``
-    sweep's BatchReport (or None when the sweep did not run).
+    sweep's BatchReport (or None when the sweep did not run).  Rows
+    written before the vector kernel's removal carry ``vector_*`` keys
+    and ``vector:``-prefixed cycles for the same 256-core subset, then
+    timed against the vector kernel; they stay as written.
     """
     row: Dict[str, Any] = {
         "schema_version": TRAJECTORY_SCHEMA_VERSION,
@@ -104,11 +107,12 @@ def build_row(passed: bool, failures: List[str],
         row["fast_path_floor"] = round(fast_path["floor_speedup"], 4)
         for record in fast_path["workloads"]:
             cycles[record["benchmark"]] = record["cycles"]
-    if vector is not None:
-        row["vector_speedup"] = round(vector["aggregate_speedup"], 4)
-        row["vector_floor"] = round(vector["floor_speedup"], 4)
-        for record in vector["workloads"]:
-            cycles.setdefault("vector:%s" % record["benchmark"],
+    if kernel_256 is not None:
+        row["kernel_256_speedup"] = round(kernel_256["aggregate_speedup"],
+                                          4)
+        row["kernel_256_floor"] = round(kernel_256["floor_speedup"], 4)
+        for record in kernel_256["workloads"]:
+            cycles.setdefault("kernel_256:%s" % record["benchmark"],
                               record["cycles"])
     if cycles:
         row["cycles"] = dict(sorted(cycles.items()))

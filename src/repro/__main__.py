@@ -130,6 +130,23 @@ def cmd_runfork(args) -> int:
     return 0
 
 
+def _kernel_arg(value: str) -> str:
+    """argparse type of ``--kernel``; naming a removed kernel says why."""
+    from .sim.config import check_kernel
+    try:
+        return check_kernel(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _add_kernel_argument(cmd) -> None:
+    cmd.add_argument("--kernel", default="event", type=_kernel_arg,
+                     metavar="{event,naive}",
+                     help="simulation kernel: the event-driven fast path "
+                          "(default) or the naive reference loop "
+                          "(bit-identical results)")
+
+
 def _is_blob_key(ref: str) -> bool:
     return len(ref) == 64 and all(c in "0123456789abcdef" for c in ref)
 
@@ -142,8 +159,7 @@ class SimOptions:
     their flags through :meth:`add_arguments`, parse them through
     :meth:`from_args` and execute through :meth:`run` — no subcommand
     re-plumbs flags by hand, and a new shared flag is added in exactly
-    one place.  ``--kernel`` wins over the legacy ``--scheduler``
-    spelling; flags only some subcommands define (``--events``/
+    one place.  Flags only some subcommands define (``--events``/
     ``--trace``) default off.
     """
 
@@ -152,8 +168,7 @@ class SimOptions:
     shortcut: bool = False
     placement: str = "round_robin"
     topology: str = "uniform"
-    kernel: Optional[str] = None
-    scheduler: str = "event"
+    kernel: str = "event"
     fork_loops: bool = False
     optimize: bool = False
     faults: Optional[str] = None
@@ -178,15 +193,7 @@ class SimOptions:
         cmd.add_argument("--topology", default="uniform",
                          choices=["uniform", "mesh"],
                          help="NoC topology: flat latency or 2D mesh")
-        cmd.add_argument("--scheduler", default="event",
-                         choices=["event", "naive", "vector"],
-                         help="main-loop scheduler (bit-identical results)")
-        cmd.add_argument("--kernel", default=None,
-                         choices=["naive", "event", "vector"],
-                         help="simulation kernel: naive reference loop, "
-                              "event park/wake fast path, or vector "
-                              "struct-of-arrays sweeps (all bit-identical; "
-                              "overrides --scheduler)")
+        _add_kernel_argument(cmd)
         cmd.add_argument("--fork-loops", action="store_true")
         cmd.add_argument("--optimize", action="store_true",
                          help="run the analysis-driven assembly optimizer "
@@ -227,7 +234,7 @@ class SimOptions:
             file=args.file, cores=args.cores, shortcut=args.shortcut,
             placement=args.placement,
             topology=getattr(args, "topology", "uniform"),
-            kernel=getattr(args, "kernel", None), scheduler=args.scheduler,
+            kernel=args.kernel,
             fork_loops=args.fork_loops,
             optimize=bool(getattr(args, "optimize", False)),
             faults=getattr(args, "faults", None),
@@ -247,7 +254,7 @@ class SimOptions:
         options = dict(
             n_cores=self.cores, stack_shortcut=self.shortcut,
             placement=self.placement, topology=self.topology,
-            kernel=self.kernel or self.scheduler,
+            kernel=self.kernel,
             optimize=self.optimize, trace=self.trace,
             events=self.events or bool(self.chrome_trace),
             metrics_window=self.metrics, faults=faults,
@@ -494,10 +501,9 @@ def cmd_lint(args) -> int:
                 print(line)
         failed = failed or report.failed
         if args.validate:
-            # the functional machine, the default scheduler and the
-            # vector kernel: the soundness theorem holds on every oracle
-            checks = (validate_machine(prog), validate_sim(prog),
-                      validate_sim(prog, kernel="vector"))
+            # the functional machine and the default kernel: the
+            # soundness theorem holds on every oracle
+            checks = (validate_machine(prog), validate_sim(prog))
             for check in checks:
                 hit, total = check.precision()
                 entry["validations"].append(
@@ -516,7 +522,7 @@ def cmd_lint(args) -> int:
 
 
 #: kernels ``repro deps --validate`` proves the graph against
-_DEPS_VALIDATE_KERNELS = ("event", "naive", "vector")
+_DEPS_VALIDATE_KERNELS = ("event", "naive")
 
 
 def cmd_deps(args) -> int:
@@ -652,7 +658,7 @@ def _chaos_warmstart(args, shorts) -> int:
     from .faults import warmstart_sweep
     payload = warmstart_sweep(shorts, args.drops, args.deaths,
                               n_cores=args.cores, seed=args.seed,
-                              scheduler=args.scheduler,
+                              scheduler=args.kernel,
                               start_frac=args.warm_start)
     records = payload["records"]
     if args.json:
@@ -691,7 +697,7 @@ def cmd_chaos(args) -> int:
     if args.emit_jobs:
         spec = chaos_spec(shorts, args.drops, args.deaths,
                           n_cores=args.cores, seed=args.seed,
-                          scheduler=args.scheduler,
+                          scheduler=args.kernel,
                           pool_size=args.jobs, cache=cache)
         with open(args.emit_jobs, "w") as handle:
             json.dump(spec, handle, indent=2, sort_keys=True)
@@ -701,7 +707,7 @@ def cmd_chaos(args) -> int:
         return 0
     payload = chaos_sweep(shorts, args.drops, args.deaths,
                           n_cores=args.cores, seed=args.seed,
-                          scheduler=args.scheduler,
+                          scheduler=args.kernel,
                           pool_size=args.jobs, cache=cache)
     records = payload["records"]
     if args.json:
@@ -831,8 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--validate", action="store_true",
                       help="also cross-check static live-across sets "
                            "against the section machine and the cycle "
-                           "simulator's renaming requests (default and "
-                           "vector kernels)")
+                           "simulator's renaming requests")
     lint.add_argument("--json", action="store_true",
                       help="machine-readable findings payload")
     lint.set_defaults(func=cmd_lint)
@@ -936,8 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--deaths", type=int, nargs="+", default=[0, 1],
                        help="fail-stop core counts to sweep (default: 0 1)")
     chaos.add_argument("--seed", type=int, default=1234)
-    chaos.add_argument("--scheduler", default="event",
-                       choices=["event", "naive", "vector"])
+    _add_kernel_argument(chaos)
     add_batch_options(chaos)
     chaos.add_argument("--warm-start", type=float, default=None,
                        metavar="FRAC",

@@ -35,7 +35,7 @@ The safety contract is **architectural identity**: identical output
 stream, return value and final memory.  Final *registers* are excluded
 by design — a dead value vanishing is the whole point.  The proof is
 differential (tests/analysis/test_opt.py): the functional oracles and
-all three simulator kernels, fault-free and under chaos plans, agree
+both simulator kernels, fault-free and under chaos plans, agree
 bit-for-bit on the contract fields while committed cycles drop.
 """
 

@@ -148,10 +148,10 @@ def validate_sim(program: Program,
     requests each section issued (PR 2's event stream) against the static
     flow live-in.
 
-    ``kernel`` selects the simulation kernel (``"naive"``, ``"event"``
-    or ``"vector"``) so the theorem is provable against every kernel,
-    not just the default scheduler; it overrides the kernel of an
-    explicit *config*.
+    ``kernel`` selects the simulation kernel (``"event"`` or
+    ``"naive"``) so the theorem is provable against both kernels, not
+    just the default one; it overrides the kernel of an explicit
+    *config*.
 
     The simulator satisfies fork-copied registers from the fork-time
     snapshot, so requests only cover non-copied registers; ``predicted``
@@ -164,7 +164,7 @@ def validate_sim(program: Program,
     from ..sim import SimConfig, simulate
     cfg, flow = _build(program)
     if config is None:
-        config = SimConfig(events=True, kernel=kernel)
+        config = SimConfig(events=True, kernel=kernel or "event")
     else:
         if kernel is not None and config.kernel != kernel:
             config = dataclasses.replace(config, kernel=kernel)
@@ -180,7 +180,7 @@ def validate_sim(program: Program,
         else:
             predicted = flow.regs_in(sec.start_ip) - FORK_COPIED_REGS
         checks.append(_check(sec.sid, sec.start_ip, observed, predicted))
-    source = ("sim" if config.kernel in (None, "event")
+    source = ("sim" if config.kernel == "event"
               else "sim[%s]" % config.kernel)
     return ValidationReport(program=program, cfg=cfg, flow=flow,
                             source=source, checks=checks)

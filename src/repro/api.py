@@ -21,16 +21,19 @@ The entry points cover the library's pipeline: :func:`compile_c` /
 list of :class:`~repro.runner.Job` out over a worker pool with
 content-addressed result caching (:mod:`repro.runner`).
 
-API v2 (``API_SCHEMA_VERSION == 2``) adds time travel: :func:`snapshot`
-captures full simulator state at a chosen cycle, :func:`resume`
-continues a snapshot (optionally attaching a fault plan — the warm-fork
-used by the chaos grid), :func:`checkpoints_of` runs with checkpoints
-armed, and :func:`simulate` grew ``resume_from=``.  Resumed runs are
-bit-identical to cold ones on every compared result field.
+API v2 added time travel: :func:`snapshot` captures full simulator
+state at a chosen cycle, :func:`resume` continues a snapshot
+(optionally attaching a fault plan — the warm-fork used by the chaos
+grid), :func:`checkpoints_of` runs with checkpoints armed, and
+:func:`simulate` grew ``resume_from=``.  Resumed runs are bit-identical
+to cold ones on every compared result field.
 
-Deprecated in v2: ``SimConfig(event_driven=...)`` — say
-``kernel="event"`` / ``"naive"`` / ``"vector"``.  The boolean keeps
-working for one release with a :class:`DeprecationWarning`.
+API v3 (``API_SCHEMA_VERSION == 3``) leaves two kernels,
+``SimConfig(kernel="event")`` (the default) and ``kernel="naive"``.
+The ``event_driven=`` constructor argument is gone (a wire-format dict
+may still carry it, when it agrees with ``kernel``), and
+``kernel="vector"`` is rejected: it was bit-identical to ``"event"``,
+which now carries its lazy request scheduler.
 """
 
 from __future__ import annotations
@@ -54,8 +57,9 @@ from .snapshot import (Snapshot, SnapshotError,
                        resume as _resume)
 
 #: facade major version: bump on any breaking signature change here.
-#: v2 = snapshot/resume/checkpoints_of + kernel= replacing event_driven=.
-API_SCHEMA_VERSION = 2
+#: v2 = snapshot/resume/checkpoints_of + kernel= replacing event_driven=;
+#: v3 = event_driven= and kernel="vector" removed.
+API_SCHEMA_VERSION = 3
 
 __all__ = [
     "API_SCHEMA_VERSION", "ForkRun", "SimRun", "Snapshot",

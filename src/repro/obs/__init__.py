@@ -22,7 +22,7 @@ Three layers, all built on one structured event stream:
 * **typed metrics** (:mod:`repro.obs.metrics`) — counters, gauges,
   fixed-bucket histograms and windowed time-series in two strictly
   separated domains: deterministic *cycle-domain* series derived
-  post-hoc from a finished run (bit-identical across all three kernels;
+  post-hoc from a finished run (bit-identical across both kernels;
   :attr:`repro.sim.SimConfig.metrics_window`) and wall-clock
   *host-domain* telemetry of the batch engine.  Exported as JSON
   (``repro metrics``) and Prometheus text exposition.

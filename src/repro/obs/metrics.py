@@ -10,11 +10,10 @@ never mix in one export:
   per-cycle core-state timeline, section/request lifecycles, the
   per-link transfer log, the fault engine's drop/retry log) into
   windowed series sampled every ``SimConfig.metrics_window`` cycles.
-  Because every input is proven identical across the naive, event and
-  vector kernels (``tests/sim/test_differential_vector.py``), the
-  derived series are bit-identical too — metrics are *post-hoc
-  accounting*, never live sampling, which the cycle-skipping kernels
-  could not reproduce.
+  Because every input is proven identical across the naive and event
+  kernels (``tests/sim/test_differential.py``), the derived series are
+  bit-identical too — metrics are *post-hoc accounting*, never live
+  sampling, which the cycle-skipping event kernel could not reproduce.
 * **host domain** (``domain="host"``) — wall-clock telemetry of the
   batch engine (:mod:`repro.runner`): per-job phase timings, cache
   hit/miss/heal counters, worker-pool concurrency.  Host metrics are
@@ -417,7 +416,7 @@ def derive_cycle_metrics(proc: Any, window: int) -> Dict[str, Any]:
     """Fold a finished processor's artifacts into the windowed
     cycle-domain metrics dict carried in ``SimResult.metrics``.
 
-    Every input is part of the three-kernel bit-identity contract:
+    Every input is part of the two-kernel bit-identity contract:
     instruction stage timings, section/request lifecycles, the per-cycle
     core-state timeline (``trace_states``), the per-link transfer log
     (``Processor.metrics_hops``) and the fault engine's drop/retry/

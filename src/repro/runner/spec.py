@@ -99,9 +99,13 @@ def job_from_entry(entry: Dict[str, Any],
     merged.update(entry)
     config_dict: Dict[str, Any] = dict(defaults.get("config") or {})
     config_dict.update(entry.get("config") or {})
+    try:
+        config = SimConfig.from_dict(config_dict)
+    except ValueError as exc:       # a bad knob value, e.g. a removed kernel
+        raise ReproError("invalid config: %s" % exc) from None
     program = _entry_program(merged, Path(base_dir))
     return Job.from_program(
-        program, config=SimConfig.from_dict(config_dict),
+        program, config=config,
         job_id=str(entry.get("id", "")),
         include_memory=bool(merged.get("include_memory", False)),
         include_trace=bool(merged.get("include_trace", False)),

@@ -9,8 +9,7 @@ producer and return the t[0] value").
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import SimulationError
@@ -59,13 +58,10 @@ class SimConfig:
     #: memory line size in bytes for DMH replies (paper footnote 5: full
     #: lines are fetched and cached along the return path)
     line_bytes: int = 64
-    #: **deprecated** (since API v2) — use ``kernel=`` instead.  True runs
-    #: the event-driven fast path, False the reference loop; None — the
-    #: new default — means "derive from kernel".  Passing an explicit
-    #: bool still works for one release (it selects event/naive and
-    #: emits a DeprecationWarning); after ``__post_init__`` the field
-    #: always holds a concrete bool so the wire format is unchanged.
-    event_driven: Optional[bool] = None
+    #: wire-format echo of ``kernel != "naive"``, derived on construction
+    #: and never a constructor argument: :meth:`to_dict` keeps emitting
+    #: it so every pre-existing cache key stays byte-identical
+    event_driven: bool = field(init=False, default=True)
     #: record the per-cycle core-state timeline (fetching / computing /
     #: blocked / parked) into ``SimResult.trace``; opt-in because a run of
     #: C cycles on N cores stores C*N state codes
@@ -88,19 +84,16 @@ class SimConfig:
     #: the default — runs the perfect machine, bit-identical to every
     #: pinned golden result
     faults: Optional[FaultPlan] = None
-    #: simulation kernel: "naive" (reference every-core-every-cycle loop),
-    #: "event" (park/wake fast path) or "vector" (struct-of-arrays sweeps,
-    #: :mod:`repro.sim.vectorized`).  All three are bit-identical on every
-    #: compared SimResult field (tests/sim/test_differential_vector.py).
-    #: None — the default — derives the kernel from ``event_driven`` for
-    #: backward compatibility; an explicit kernel overrides and re-syncs
-    #: ``event_driven`` so old call sites keep observing a coherent pair.
-    kernel: Optional[str] = None
+    #: simulation kernel: "event" (park/wake fast path with the lazy
+    #: renaming-request scheduler) or "naive" (the reference
+    #: every-core-every-cycle loop).  Both are bit-identical on every
+    #: compared SimResult field (tests/sim/test_differential.py).
+    kernel: str = "event"
     #: run the analysis-driven assembly optimizer
     #: (:func:`repro.analysis.opt.optimize_program` — fork-mask-aware
     #: dead-store elimination + copy propagation) over the program at
     #: load time.  Architectural results (outputs, return value, final
-    #: memory) are proven bit-identical across all three kernels,
+    #: memory) are proven bit-identical across both kernels,
     #: fault-free and under chaos plans; committed cycles drop.  Off by
     #: default so every pinned golden cycle count stays exact.
     optimize: bool = False
@@ -109,7 +102,7 @@ class SimConfig:
     #: rates, request-queue depth, per-link NoC traffic and drop/retry
     #: counts) into ``SimResult.metrics``, one sample window every this
     #: many cycles.  Derived post-hoc from bit-identical run artifacts,
-    #: so all three kernels emit identical series.  None — the default —
+    #: so both kernels emit identical series.  None — the default —
     #: disables collection and keeps every existing output (goldens,
     #: cache keys, BENCH cycles) byte-identical.
     metrics_window: Optional[int] = None
@@ -122,24 +115,8 @@ class SimConfig:
     checkpoint_cycles: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.event_driven is not None and self.kernel is None:
-            # Legacy call sites predate the three-kernel selector; keep
-            # them working one release, but steer toward kernel=.  A
-            # payload that carries both (every to_dict round trip does)
-            # is the kernel's own emission, not a legacy caller — silent.
-            warnings.warn(
-                "SimConfig(event_driven=...) is deprecated; use "
-                "kernel='event'/'naive' (API v2)", DeprecationWarning,
-                stacklevel=3)
-        if self.kernel is None:
-            self.kernel = ("naive" if self.event_driven is False
-                           else "event")
-            self.event_driven = self.kernel != "naive"
-        elif self.kernel not in ("naive", "event", "vector"):
-            raise ValueError("unknown kernel %r (expected naive, event or "
-                             "vector)" % (self.kernel,))
-        else:
-            self.event_driven = self.kernel != "naive"
+        check_kernel(self.kernel)
+        self.event_driven = self.kernel != "naive"
         if self.n_cores < 1:
             raise ValueError("need at least one core")
         if self.placement not in ("round_robin", "least_loaded", "same_core",
@@ -210,16 +187,40 @@ class SimConfig:
     def from_dict(cls, data: Dict[str, Any]) -> "SimConfig":
         """Inverse of :meth:`to_dict`: rejects unknown keys, rebuilds the
         nested :class:`~repro.faults.models.FaultPlan`, and re-runs full
-        validation via ``__init__``."""
+        validation via ``__init__``.  ``event_driven`` is derived, so it
+        is accepted only when it agrees with ``kernel``."""
         known = {spec.name for spec in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise SimulationError("unknown SimConfig keys: %s"
                                   % ", ".join(unknown))
         kwargs: Dict[str, Any] = dict(data)
+        event_driven = kwargs.pop("event_driven", None)
         if kwargs.get("faults") is not None:
             kwargs["faults"] = FaultPlan.from_dict(kwargs["faults"])
-        return cls(**kwargs)
+        config = cls(**kwargs)
+        if event_driven is not None and event_driven != config.event_driven:
+            raise SimulationError(
+                "event_driven=%r contradicts kernel=%r (event_driven is "
+                "kernel != 'naive')" % (event_driven, config.kernel))
+        return config
+
+
+#: the simulation kernels ``SimConfig.kernel`` accepts
+KERNELS = ("event", "naive")
+
+
+def check_kernel(kernel: Any) -> str:
+    """*kernel* if it names a simulation kernel, else ValueError."""
+    if kernel == "vector":
+        raise ValueError(
+            "kernel 'vector' was removed: it was bit-identical to "
+            "'event', which now carries its lazy request scheduler; use "
+            "kernel='event'")
+    if kernel not in KERNELS:
+        raise ValueError("unknown kernel %r (expected event or naive)"
+                         % (kernel,))
+    return kernel
 
 
 #: Configuration of the paper's Figure 10 experiment: five cores, one

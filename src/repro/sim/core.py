@@ -15,6 +15,7 @@ its example), a stalled fetch yields to another runnable hosted section.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
@@ -116,10 +117,16 @@ class Core:
 
     def wake(self) -> None:
         """Make the core runnable again; the pending parked span is closed
-        lazily at its next executed cycle.  A dead core stays down."""
-        if self.dead:
+        lazily at its next executed cycle.  A dead core stays down.  Woken
+        by a lower-id core during the core sweep, it runs in this same
+        sweep, exactly like the naive loop's in-order slot check."""
+        if self.dead or not self.parked:
             return
         self.parked = False
+        proc = self.proc
+        proc._awake.add(self.id)
+        if proc._core_slot is not None and self.id > proc._core_slot:
+            heapq.heappush(proc._core_extra, self.id)
 
     def _has_any_work(self) -> bool:
         return bool(self.rename_queue or self.iq or self.lsq
@@ -138,6 +145,7 @@ class Core:
             # than risk a lost wake-up.
             return
         self.parked = True
+        self.proc._awake.discard(self.id)
         self._span_start = now + 1
         self._span_has_work = has_work
         self._blocked_from = None

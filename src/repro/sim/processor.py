@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
 
 if TYPE_CHECKING:   # pragma: no cover - cycle guard (snapshot imports sim)
     from ..snapshot import Snapshot
@@ -38,12 +38,29 @@ from .stats import (BLOCKED, CORE_STATES, PARKED, STATE_CODES, SimResult,
                     occupancy_counts)
 
 
+#: park tag of a renaming request waiting on a section's state: "fetch_done"
+#: or "mem_final", or ("cut", index) / ("line", addr)
+Tag = Union[str, Tuple[str, int]]
+
+
+class _RequestWaiter:
+    """A renaming request's entry on a cell's wake list (cells wake
+    anything with a ``wake()``; parked cores are the other kind).  One
+    per request, so :meth:`Cell.add_waiter`'s identity dedupe holds
+    across re-parks."""
+
+    __slots__ = ("proc", "req")
+
+    def __init__(self, proc: "Processor", req: RenameRequest) -> None:
+        self.proc = proc
+        self.req = req
+
+    def wake(self) -> None:
+        self.proc._wake_request(self.req)
+
+
 class Processor:
     """Simulates a program on the distributed core design."""
-
-    #: Core class instantiated per core id — subclass hook (the vectorized
-    #: kernel substitutes :class:`repro.sim.vectorized.VectorCore`)
-    core_cls = Core
 
     def __init__(self, program: Program, config: Optional[SimConfig] = None,
                  initial_regs: Optional[Dict[str, int]] = None,
@@ -80,7 +97,7 @@ class Processor:
         # need the same per-cycle states
         self.occupancy_on = (self.cfg.collect_occupancy or self.cfg.events
                              or self.metrics_on)
-        self.cores = self._make_cores()
+        self.cores = [Core(i, self) for i in range(self.cfg.n_cores)]
         if self.cfg.trace or self.cfg.events or self.metrics_on:
             for core in self.cores:
                 core.trace_states = []
@@ -100,11 +117,30 @@ class Processor:
         #: to invalidate their cached IQ/LSQ sort order
         self.order_epoch = 0
         self.requests: List[RenameRequest] = []
-        #: event-driven bookkeeping: requests not yet done (same relative
-        #: order as self.requests), open-section count, time-wake heap
-        self._pending: List[RenameRequest] = []
         self._open_sections = 0
+        #: (cycle, core id) heap of parked cores' time wakes
         self._timewakes: List[Tuple[int, int]] = []
+        # -- event kernel scheduling state; the naive loop never reads it --
+        #: ids of the cores not parked: the core sweep's agenda
+        self._awake: Set[int] = set(range(self.cfg.n_cores))
+        #: cores woken mid-sweep by a lower-id core (they run this cycle)
+        self._core_extra: List[int] = []
+        #: id of the core the sweep is running; None outside the sweep
+        self._core_slot: Optional[int] = None
+        #: lazy request scheduler: rids to step at the next pass, rids
+        #: woken mid-pass past the running one, the (cycle, rid) time
+        #: heap, and the rids parked on a section's state, which a fork
+        #: re-routes
+        self._req_act: Set[int] = set()
+        self._req_extra: List[int] = []
+        self._req_timed: List[Tuple[int, int]] = []
+        self._route_parked: Set[int] = set()
+        #: rid the request pass is stepping; None outside the pass
+        self._req_slot: Optional[int] = None
+        self._cell_waiters: Dict[int, _RequestWaiter] = {}
+        #: requests handed to the scheduler, and those not yet done
+        self._admitted = 0
+        self._live_requests = 0
         self.cycle = 0
         #: architectural register state of all folded (fully retired
         #: oldest) sections — "the oldest section dumps its renamings"
@@ -130,7 +166,7 @@ class Processor:
             FaultEngine(self, self.cfg.faults)
             if self.cfg.faults is not None else None)
 
-        root = self._new_section(
+        root = SectionState(
             sid=1, start_ip=program.entry, core_id=0,
             fregs=initial_root_fregs(self.initial_regs), depth=0,
             created_cycle=0, first_fetch_cycle=1)
@@ -140,26 +176,12 @@ class Processor:
         self.cores[0].open_secs.append(root)
         self._open_sections = 1
 
-    # -- subclass hooks (repro.sim.vectorized) -------------------------
-
-    def _make_cores(self) -> List[Core]:
-        return [self.core_cls(i, self) for i in range(self.cfg.n_cores)]
-
-    def _new_section(self, **kwargs) -> SectionState:
-        return SectionState(**kwargs)
-
-    def section_event(self, sec: SectionState) -> None:
-        """A request-visible state component of *sec* changed (fetch_done,
-        stores_pending, renamed_count, ARQ head, MAAT line install).  Only
-        the vectorized kernel registers section waiters, so ``req_waiters``
-        is always None here and every call site guards on it."""
-
     # ------------------------------------------------------------------
     # run loop
     # ------------------------------------------------------------------
 
     def run(self) -> SimResult:
-        if self.cfg.event_driven:
+        if self.cfg.kernel == "event":
             self._run_event()
         else:
             self._run_naive()
@@ -186,12 +208,15 @@ class Processor:
                     core.cycle(self.cycle)
 
     def _run_event(self) -> None:
-        """Event-driven fast path: run only awake cores, step only pending
-        requests, and jump over cycles in which provably nothing happens.
-        Produces the same per-cycle state evolution as :meth:`_run_naive`
-        — skipped core-cycles and skipped whole cycles are exactly those
-        the naive loop would execute as no-ops."""
+        """Event-driven kernel: sweep only awake cores, step a renaming
+        request only when something it waits on can have changed, and
+        jump over cycles in which provably nothing happens.  Produces the
+        same per-cycle state evolution as :meth:`_run_naive` — every
+        skipped core-cycle, request step and whole cycle is one the naive
+        loop executes as a no-op."""
         cores = self.cores
+        awake = self._awake
+        extra = self._core_extra
         engine = self.fault_engine
         while not self._finished_event():
             self.cycle += 1
@@ -208,15 +233,34 @@ class Processor:
             self._process_pending(now)
             if self._timewakes:
                 self._wake_due(now)
-            for core in cores:
-                # A core unparked mid-loop (by a fill from an earlier
-                # core) runs this same cycle, exactly like the naive
-                # loop; one unparked by a *later* core runs next cycle.
-                if not core.parked:
-                    core.cycle(now)
-                    core.maybe_park(now)
-            if (all(core.parked for core in cores)
-                    and not self._finished_event()):
+            # Awake cores in id order.  A core woken by a lower-id core
+            # joins this sweep (Core.wake), exactly like the naive loop's
+            # slot order; one woken by a higher-id core runs next cycle.
+            agenda = sorted(awake)
+            k, n = 0, len(agenda)
+            while k < n or extra:
+                if extra and (k >= n or extra[0] < agenda[k]):
+                    cid = heapq.heappop(extra)
+                else:
+                    cid = agenda[k]
+                    k += 1
+                core = cores[cid]
+                if core.parked:
+                    # killed by the fault engine, which parks directly
+                    awake.discard(cid)
+                    continue
+                self._core_slot = cid
+                core.cycle(now)
+                core.maybe_park(now)
+            self._core_slot = None
+            issued = len(self.requests)
+            if issued > self._admitted:
+                # requests issued by this sweep take their first step
+                # next cycle (RenameRequest.wake_cycle = now + 1)
+                self._req_act.update(range(self._admitted, issued))
+                self._live_requests += issued - self._admitted
+                self._admitted = issued
+            if not awake and not self._finished_event():
                 nxt = self._next_event_cycle(now)
                 if nxt > now + 1:
                     self.cycle = min(nxt, self.cfg.max_cycles + 1) - 1
@@ -276,13 +320,10 @@ class Processor:
     # ------------------------------------------------------------------
 
     def _finished_event(self) -> bool:
-        """O(pending) termination test equivalent to :meth:`_finished`,
-        using the open-section counter maintained at completion."""
-        if self.cycle == 0:
-            return False
-        if self._open_sections:
-            return False
-        return all(req.done for req in self._pending)
+        """O(1) termination test equivalent to :meth:`_finished`, using
+        the open-section and live-request counters."""
+        return (self.cycle != 0 and not self._open_sections
+                and not self._live_requests)
 
     def section_completed(self, section: SectionState, core, now: int) -> None:
         """Called by the retire stage at the pop that completes *section*:
@@ -296,20 +337,6 @@ class Processor:
             self.tracer.emit(now, "section_complete", sid=section.sid,
                              core=core.id)
 
-    def _process_pending(self, now: int) -> None:
-        """Step every not-yet-done request (same relative order as the
-        naive full-history scan) and compact the pending list."""
-        if not self._pending:
-            return
-        alive: List[RenameRequest] = []
-        for req in self._pending:
-            if req.done:
-                continue
-            self._step_request(req, now)
-            if not req.done:
-                alive.append(req)
-        self._pending = alive
-
     def schedule_wake(self, cycle: int, core) -> None:
         heapq.heappush(self._timewakes, (cycle, core.id))
 
@@ -320,41 +347,148 @@ class Processor:
 
     def _next_event_cycle(self, now: int) -> int:
         """Earliest future cycle at which anything can happen, given that
-        every core is parked.  Conservative: a request in an immediately
-        evaluable state pins the next cycle to ``now + 1`` (no skip); a
-        request waiting on an unfilled producer cell cannot progress until
-        a core wakes, so it imposes no bound of its own."""
-        nxt: Optional[int] = None
+        every core is parked.  A request parked on a cell or a section
+        imposes no bound of its own: its condition only flips through
+        core, request or fault activity, which the heaps below cover."""
+        if self._req_act:
+            return now + 1
+        candidates = [heap[0][0] for heap in (self._timewakes,
+                                              self._req_timed) if heap]
         if self.fault_engine is not None:
             # never jump over a scheduled fail-stop
-            nxt = self.fault_engine.next_scheduled(now)
-        if self._timewakes:
-            cand = self._timewakes[0][0]
-            if nxt is None or cand < nxt:
-                nxt = cand
-        for req in self._pending:
-            if req.done:
-                continue
-            if req.reply_cycle is not None:
-                cand = req.reply_cycle
-            elif req.hit_cell is not None:
-                if not req.hit_cell.ready:
-                    continue
-                cand = now + 1
-            elif req.wake_cycle > now:
-                cand = req.wake_cycle
-            else:
-                cand = now + 1
-            if nxt is None or cand < nxt:
-                nxt = cand
-            if nxt <= now + 1:
-                return now + 1
-        if nxt is None:
+            fault = self.fault_engine.next_scheduled(now)
+            if fault is not None:
+                candidates.append(fault)
+        if not candidates:
             # Nothing can ever happen again: jump straight to the cycle
             # budget so the deadlock diagnostic fires exactly as in the
             # naive loop.
             return self.cfg.max_cycles + 1
-        return max(nxt, now + 1)
+        return max(min(candidates), now + 1)
+
+    # ------------------------------------------------------------------
+    # event kernel: the lazy request scheduler
+    # ------------------------------------------------------------------
+
+    def _process_pending(self, now: int) -> None:
+        """Step the requests that can make progress this cycle, in rid
+        order (the naive loop's full-history scan order): those whose
+        time-heap entry fell due and those woken by a cell fill, a
+        section state flip or a fork.  A request steps at most once per
+        cycle.  A wake during the pass for a later rid joins the pass;
+        one for an earlier rid waits for the next pass — when the naive
+        scan would next reach it."""
+        requests = self.requests
+        timed = self._req_timed
+        act = self._req_act
+        while timed and timed[0][0] <= now:
+            cycle, rid = heapq.heappop(timed)
+            req = requests[rid]
+            if not req.done and req.timed_cycle == cycle:
+                act.add(rid)        # else superseded by a later entry
+        if not act:
+            return
+        self._req_act = set()
+        agenda = sorted(act)
+        extra = self._req_extra
+        k, n = 0, len(agenda)
+        while k < n or extra:
+            if extra and (k >= n or extra[0] < agenda[k]):
+                rid = heapq.heappop(extra)
+            else:
+                rid = agenda[k]
+                k += 1
+            req = requests[rid]
+            if req.done or req.step_cycle == now:
+                continue
+            req.step_cycle = now
+            self._req_slot = rid
+            self._park_request(req, self._step_request(req, now), now)
+        self._req_slot = None
+
+    def _park_request(self, req: RenameRequest,
+                      desc: "Union[SectionState, Cell, None]",
+                      now: int) -> None:
+        """File *req*, just stepped, under whatever can next change its
+        state (*desc* is :meth:`_step_request`'s park descriptor).  Every
+        parked state has a registered wake, so the only steps skipped
+        are ones the naive scan executes as no-op re-checks."""
+        if req.done:
+            self._live_requests -= 1
+        elif req.reply_cycle is not None:
+            self._time_request(req, req.reply_cycle)
+        elif req.hit_cell is not None:
+            if req.hit_cell.ready:
+                self._time_request(req, now + 1)
+            else:
+                waiter = self._cell_waiters.get(req.rid)
+                if waiter is None:
+                    waiter = self._cell_waiters[req.rid] = \
+                        _RequestWaiter(self, req)
+                req.hit_cell.add_waiter(waiter)
+        elif desc is None:
+            self._time_request(req, max(req.wake_cycle, now + 1))
+        else:
+            tag: Tag
+            if isinstance(desc, Cell):
+                # coalescing behind an in-flight line import: re-check
+                # when it fills or the word itself lands in the MAAT
+                sec, tag = req.at_section, ("line", req.addr)
+            elif req.use_shortcut and req.cut_index >= 0:
+                sec, tag = desc, ("cut", req.cut_index)
+            else:
+                sec, tag = desc, ("fetch_done" if req.kind == "reg"
+                                  else "mem_final")
+            waiters = sec.req_waiters
+            if waiters is None:
+                sec.req_waiters = {tag: {req.rid}}
+            elif tag in waiters:
+                waiters[tag].add(req.rid)
+            else:
+                waiters[tag] = {req.rid}
+            self._route_parked.add(req.rid)
+
+    def _time_request(self, req: RenameRequest, cycle: int) -> None:
+        req.timed_cycle = cycle
+        heapq.heappush(self._req_timed, (cycle, req.rid))
+
+    def _wake_request(self, req: RenameRequest) -> None:
+        if req.done:
+            return
+        rid = req.rid
+        self._route_parked.discard(rid)
+        if self._req_slot is not None and rid > self._req_slot:
+            heapq.heappush(self._req_extra, rid)
+        else:
+            self._req_act.add(rid)
+
+    def section_event(self, sec: SectionState) -> None:
+        """A request-visible state component of *sec* flipped
+        (fetch_done, stores_pending, renamed_count, ARQ head, MAAT line
+        install): wake every parked request whose condition now holds.
+        Only the event kernel parks requests on sections, so every call
+        site first tests ``sec.req_waiters``."""
+        waiters = sec.req_waiters
+        if not waiters:
+            return
+        for tag in [tag for tag in waiters if self._tag_holds(sec, tag)]:
+            for rid in waiters.pop(tag):
+                self._wake_request(self.requests[rid])
+        if not waiters:
+            sec.req_waiters = None
+
+    def _tag_holds(self, sec: SectionState, tag: Tag) -> bool:
+        if isinstance(tag, str):
+            return sec.fetch_done if tag == "fetch_done" else sec.mem_final
+        kind, arg = tag
+        if kind == "cut":
+            # Both halves together: a fail-stop redispatch can clear the
+            # ARQ before the cut is renamed again.
+            return (sec.renamed_count > arg
+                    and (not sec.arq or sec.arq[0].index >= arg))
+        # "line": the coalesced import filled, or the word itself landed
+        return (self._pending_line_import(sec, arg) is None
+                or sec.maat.get(arg) is not None)
 
     # ------------------------------------------------------------------
     # section creation (fork)
@@ -377,7 +511,7 @@ class Processor:
                     % (parent.sid, reg))
             snapshot[reg] = entry
         core_id = self._place(parent)
-        sec = self._new_section(
+        sec = SectionState(
             sid=len(self.sections) + 1,
             start_ip=dyn.instr.addr + 1,
             core_id=core_id,
@@ -410,6 +544,13 @@ class Processor:
                     or visible < target._blocked_from):
                 target._blocked_from = visible
         parent.fork_children[dyn.index] = sec.sid
+        if self._route_parked:
+            # The total order changed: a request parked on a section may
+            # now walk through the new one.  Forks happen in the core
+            # sweep, so the re-steps land next cycle, when the naive scan
+            # re-routes them.
+            self._req_act |= self._route_parked
+            self._route_parked = set()
         if self.tracer is not None:
             self.tracer.emit(now, "section_fork", parent=parent.sid,
                              child=sec.sid, core=core_id,
@@ -455,7 +596,6 @@ class Processor:
             before=sec, cur_core=sec.core_id, issued_cycle=now,
             wake_cycle=now + 1)
         self.requests.append(req)
-        self._pending.append(req)
         if self.tracer is not None:
             self.tracer.emit(now, "request_issue", rid=req.rid, kind="reg",
                              sid=sec.sid, core=sec.core_id, what=reg)
@@ -475,7 +615,6 @@ class Processor:
             before=sec, cut_child=sec, cur_core=sec.core_id,
             issued_cycle=now, wake_cycle=now + 1)
         self.requests.append(req)
-        self._pending.append(req)
         if self.tracer is not None:
             self.tracer.emit(now, "request_issue", rid=req.rid, kind="mem",
                              sid=sec.sid, core=sec.core_id, what=addr)
@@ -517,8 +656,8 @@ class Processor:
 
     def _fill_dest(self, req: RenameRequest, now: int) -> None:
         """Deliver the answer into the requester's import cell.  A memory
-        fill changes the requester's MAAT-pending-import state, which the
-        vectorized kernel's parked requests may be waiting on."""
+        fill changes the requester's MAAT-pending-import state, which
+        requests parked on its line may be waiting on."""
         req.dest_cell.fill(req.value, now)
         req.done = True
         if req.kind == "mem" and req.requester.req_waiters is not None:
@@ -531,12 +670,12 @@ class Processor:
                       ) -> "Union[SectionState, Cell, None]":
         """Advance *req* one cycle.
 
-        The return value is a *park descriptor* for the vectorized
-        kernel's lazy request scheduler: the :class:`SectionState` whose
-        final-state condition the request is waiting on, the pending
-        line-import :class:`Cell` it is coalescing behind, or None (any
-        other state — progressing, timed, waiting on ``hit_cell``, done).
-        The naive and event schedulers ignore it.
+        The return value is a *park descriptor* for the event kernel's
+        lazy request scheduler (:meth:`_park_request`): the
+        :class:`SectionState` whose final-state condition the request is
+        waiting on, the pending line-import :class:`Cell` it is
+        coalescing behind, or None (any other state — progressing, timed,
+        waiting on ``hit_cell``, done).  The naive loop ignores it.
         """
         tracer = self.tracer
         # reply in flight
@@ -680,7 +819,7 @@ class Processor:
 
     def _pending_line_import(self, section, addr: int) -> Optional[Cell]:
         """*section*'s first not-yet-filled import cell for addr's line,
-        if any (the vectorized kernel parks coalescing requests on it)."""
+        if any (a coalescing request waits behind it)."""
         base = addr & ~(self.cfg.line_bytes - 1)
         for word in range(base, base + self.cfg.line_bytes, WORD):
             cell = section.maat.get(word)
@@ -701,8 +840,8 @@ class Processor:
                                ) -> Optional[SectionState]:
         """Stack-shortcut walk: query the creator chain against pre-fork
         cuts (see :mod:`repro.sim.requests`).  Returns the section the
-        request parked on (a park descriptor for the vectorized kernel's
-        lazy scheduler), or None."""
+        request parked on (a park descriptor, see :meth:`_step_request`),
+        or None."""
         if req.at_section is None:
             child = req.cut_child
             if child.parent_sid == 0:
@@ -928,7 +1067,7 @@ def simulate(program: Program, config: Optional[SimConfig] = None,
              resume_from: Optional["Snapshot"] = None) -> Tuple[SimResult, Processor]:
     """Run *program* on the simulated many-core; returns (result, processor)
     so callers can inspect per-instruction timing.  ``config.kernel``
-    selects the simulation kernel; all three are bit-identical on every
+    selects the simulation kernel; both are bit-identical on every
     compared result field.
 
     ``resume_from`` continues a :class:`~repro.snapshot.Snapshot` instead
@@ -950,12 +1089,6 @@ def simulate(program: Program, config: Optional[SimConfig] = None,
         # pass the caller's config (not the fabricated default) so a
         # bare resume validates only what was actually specified
         return _resume(resume_from, program=program, config=config)
-    if cfg.kernel == "vector":
-        # imported lazily: vectorized depends on this module (and numpy)
-        from .vectorized import VectorProcessor
-        proc: Processor = VectorProcessor(program, config=cfg,
-                                          initial_regs=initial_regs)
-    else:
-        proc = Processor(program, config=cfg, initial_regs=initial_regs)
+    proc = Processor(program, config=cfg, initial_regs=initial_regs)
     result = proc.run()
     return result, proc

@@ -88,6 +88,11 @@ class RenameRequest:
     reply_cycle: Optional[int] = None
     done: bool = False
     hops: int = 0
+    #: event kernel's lazy scheduler: the last cycle this request was
+    #: stepped (it steps at most once per cycle), and the cycle of its
+    #: live time-heap entry (any other entry for it is stale)
+    step_cycle: int = -1
+    timed_cycle: int = -1
 
     def describe(self) -> str:  # pragma: no cover - debugging aid
         what = self.reg if self.kind == "reg" else hex(self.addr)

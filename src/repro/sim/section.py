@@ -20,7 +20,7 @@ register state that successor sections' renaming requests resolve against.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional, Set, Tuple, Union
 
 from ..isa.registers import ALL_REGS
 from .cells import Cell, DynInstr
@@ -85,13 +85,14 @@ class SectionState:
         self.stores_pending = 0             #: stores fetched, not yet renamed
         self.outs: List[Tuple[int, int]] = []   #: (index, value) from out
         self.ends_program = False           #: section fetched hlt / sentinel
-        #: renaming requests parked on this section's final-state
-        #: conditions, registered only by the vectorized kernel's lazy
-        #: request scheduler (:mod:`repro.sim.vectorized`); None keeps
-        #: every notify site at a single attribute test.  Survives
-        #: redispatch_reset: a waiter's condition simply re-arms when the
-        #: replayed incarnation reaches it again.
-        self.req_waiters: Optional[list] = None
+        #: park tag -> rids of the renaming requests waiting for that
+        #: final-state condition, registered only by the event kernel's
+        #: lazy request scheduler (see :meth:`repro.sim.processor.
+        #: Processor.section_event`); None keeps every notify site at a
+        #: single attribute test.  Survives redispatch_reset: a waiter's
+        #: condition simply re-arms when the replayed incarnation reaches
+        #: it again.
+        self.req_waiters: Optional[Dict[object, Set[int]]] = None
 
     # -- fetch-time register file access -----------------------------------
 

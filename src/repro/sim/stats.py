@@ -68,10 +68,8 @@ def request_latency_stats(latencies: List[int]) -> Dict[str, float]:
 
 
 def occupancy_counts(raw: List[int]) -> Dict[str, int]:
-    """Turn a 4-slot counter vector into a named histogram.  ``int()``
-    normalizes numpy scalars from the vectorized kernel's occupancy rows
-    so results stay ``json.dump``-able."""
-    return {name: int(raw[i]) for i, name in enumerate(CORE_STATES)}
+    """Turn a 4-slot counter list into a named histogram."""
+    return dict(zip(CORE_STATES, raw))
 
 
 @dataclass
@@ -122,7 +120,7 @@ class SimResult:
     #: (:func:`repro.obs.metrics.derive_cycle_metrics`); None unless the
     #: run set :attr:`repro.sim.SimConfig.metrics_window` — keeping
     #: metric-free JSON exports byte-identical to older goldens.  Derived
-    #: post-hoc from bit-identical artifacts, so all three kernels carry
+    #: post-hoc from bit-identical artifacts, so both kernels carry
     #: identical dicts.
     metrics: Optional[dict] = field(default=None, repr=False)
 

@@ -11,10 +11,10 @@ What a snapshot holds
 ---------------------
 
 The *whole* live machine, captured between cycles: every core (pipeline
-queues, register planes of all three kernels, occupancy spans), the
-section tree with MAATs and per-section register frames, in-flight
-renaming requests and NoC messages, the fold cursor, the placement RNG,
-the event/vector kernels' park-wake heaps and lazy request agendas, and
+queues, register files, occupancy spans), the section tree with MAATs
+and per-section register frames, in-flight renaming requests and NoC
+messages, the fold cursor, the placement RNG, the event kernel's
+park-wake heaps and lazy request agendas, and
 — when a :class:`~repro.faults.FaultPlan` is attached — the fault
 engine's cursor (deaths already applied, accumulated FaultStats).  The
 capture is a deep serialization of the :class:`~repro.sim.processor.
@@ -45,7 +45,7 @@ Determinism contract
 Semantic, not byte-level: two captures of the same machine state may
 differ in serialized bytes (hash-order containers), but ``restore`` +
 ``run`` is bit-identical to the cold run.  Capture labels that land
-inside an event/vector all-parked cycle jump are materialized at the
+inside an event-kernel all-parked cycle jump are materialized at the
 next executed loop top with the cycle counter rewritten — sound because
 the skipped cycles are provably no-ops.
 """
@@ -71,8 +71,10 @@ if TYPE_CHECKING:     # pragma: no cover - import cycle guard (sim -> here)
     from .sim.stats import SimResult
 
 #: bump when the envelope layout or the captured object graph changes
-#: incompatibly; readers reject other versions loudly
-SNAPSHOT_SCHEMA_VERSION = 1
+#: incompatibly; readers reject other versions loudly.  v2: the event
+#: kernel's lazy request scheduler replaced its pending-request list,
+#: and the vector kernel is gone.
+SNAPSHOT_SCHEMA_VERSION = 2
 
 _MAGIC = b"RSNP"
 _HEAD = struct.Struct(">II")    # schema version, header length
@@ -143,8 +145,8 @@ class Snapshot:
             proc.checkpoints = saved_taken
             proc._pending_checkpoints = saved_pending
             proc._abort_after_checkpoints = saved_abort
-        kernel = proc.cfg.kernel or "event"
-        return cls(cycle=label, kernel=kernel, config=proc.cfg.to_dict(),
+        return cls(cycle=label, kernel=proc.cfg.kernel,
+                   config=proc.cfg.to_dict(),
                    program_sha=program_digest(proc.program), state=state)
 
     # -- restore -------------------------------------------------------
@@ -255,12 +257,7 @@ def capture_prefix(program: "Program", cycle: int,
     if cfg.optimize:
         from .analysis.opt import optimize_program
         program = optimize_program(program).program
-    if cfg.kernel == "vector":
-        from .sim.vectorized import VectorProcessor
-        proc: "Processor" = VectorProcessor(program, config=cfg,
-                                            initial_regs=initial_regs)
-    else:
-        proc = Processor(program, config=cfg, initial_regs=initial_regs)
+    proc = Processor(program, config=cfg, initial_regs=initial_regs)
     proc._abort_after_checkpoints = True
     try:
         proc.run()

@@ -2,8 +2,8 @@
 
 Safety contract under test: the optimized program is architecturally
 indistinguishable from the original — same outputs, same return value,
-same final memory — on the functional machine and on all three
-simulation kernels, fault-free and under chaos plans.  Final *register*
+same final memory — on the functional machine and on both simulation
+kernels, fault-free and under chaos plans.  Final *register*
 contents are deliberately outside the contract (a dead store is exactly
 a store no one observes).  Committed cycles must drop on real workloads.
 """
@@ -22,7 +22,7 @@ from repro.workloads import WORKLOADS, get_workload
 SHORTS = [w.short for w in WORKLOADS]
 #: workloads the cycle-reduction acceptance criterion is pinned on
 REDUCED = ("bfs", "quicksort", "quickhull", "dictionary")
-KERNELS = ("event", "naive", "vector")
+KERNELS = ("event", "naive")
 
 
 @lru_cache(maxsize=None)
@@ -63,12 +63,12 @@ class TestFunctionalOracle:
 
 
 class TestSimulatorDifferential:
-    """Three-kernel differential: the optimized program's architectural
+    """Two-kernel differential: the optimized program's architectural
     results are bit-identical across kernels and to the unoptimized
     architectural results; cycles agree across kernels."""
 
     @pytest.mark.parametrize("short", REDUCED)
-    def test_three_kernels_bit_identical(self, short):
+    def test_kernels_bit_identical(self, short):
         prog = optimized(short).program
         results = [api.simulate(prog, SimConfig(kernel=k)).result
                    for k in KERNELS]

@@ -53,16 +53,23 @@ def _chaos_plan(base_cycles, n_cores):
     return FaultPlan(deaths=deaths, **CHAOS)
 
 
+@functools.lru_cache(maxsize=None)
+def _faulted(short, kernel):
+    """The workload under the chaos plan, with the event stream on so
+    the kernels can be compared on it too."""
+    plan = _chaos_plan(_fault_free_base(short).cycles, N_CORES)
+    result, _ = simulate(_workload_program(short), SimConfig(
+        n_cores=N_CORES, stack_shortcut=True, events=True,
+        kernel=kernel, faults=plan))
+    return result
+
+
 class TestWorkloadsBitIdentical:
     @pytest.mark.parametrize("short", ALL_SHORTS)
-    @pytest.mark.parametrize("event_driven", [False, True],
-                             ids=["naive", "event"])
-    def test_faulted_run_matches_fault_free(self, short, event_driven):
+    @pytest.mark.parametrize("kernel", ["naive", "event"])
+    def test_faulted_run_matches_fault_free(self, short, kernel):
         base = _fault_free_base(short)
-        plan = _chaos_plan(base.cycles, N_CORES)
-        faulted, _ = simulate(_workload_program(short), SimConfig(
-            n_cores=N_CORES, stack_shortcut=True,
-            event_driven=event_driven, faults=plan))
+        faulted = _faulted(short, kernel)
         assert faulted.outputs == base.outputs
         assert faulted.final_regs == base.final_regs
         assert faulted.final_memory == base.final_memory
@@ -79,16 +86,9 @@ class TestSchedulersAgreeUnderFaults:
               "request_latencies", "core_occupancy", "section_occupancy",
               "noc_stats", "events", "stall_causes", "fault_stats")
 
-    @pytest.mark.parametrize("short", ["quicksort", "bfs", "mst"])
+    @pytest.mark.parametrize("short", ALL_SHORTS)
     def test_modes_identical(self, short):
-        prog = _workload_program(short)
-        plan = _chaos_plan(_fault_free_base(short).cycles, N_CORES)
-        naive, _ = simulate(prog, SimConfig(
-            n_cores=N_CORES, stack_shortcut=True, events=True,
-            event_driven=False, faults=plan))
-        event, _ = simulate(prog, SimConfig(
-            n_cores=N_CORES, stack_shortcut=True, events=True,
-            event_driven=True, faults=plan))
+        naive, event = _faulted(short, "naive"), _faulted(short, "event")
         for name in self.FIELDS:
             assert getattr(naive, name) == getattr(event, name), name
 
@@ -133,16 +133,15 @@ class TestFailStopSemantics:
                                      faults=plan, max_cycles=3000))
         assert "cycle budget exhausted" in str(excinfo.value)
 
-    @pytest.mark.parametrize("event_driven", [False, True],
-                             ids=["naive", "event"])
-    def test_death_on_idle_core_is_harmless(self, event_driven):
+    @pytest.mark.parametrize("kernel", ["naive", "event"])
+    def test_death_on_idle_core_is_harmless(self, kernel):
         prog = compile_source(PROGRAM, fork_mode=True)
         base, _ = simulate(prog, SimConfig(
-            n_cores=4, stack_shortcut=True, event_driven=event_driven))
+            n_cores=4, stack_shortcut=True, kernel=kernel))
         # long after completion-side activity on core 3 has drained
         plan = FaultPlan(deaths=(CoreDeath(core=3, cycle=base.cycles - 1),))
         result, _ = simulate(prog, SimConfig(
-            n_cores=4, stack_shortcut=True, event_driven=event_driven,
+            n_cores=4, stack_shortcut=True, kernel=kernel,
             faults=plan))
         assert result.outputs == base.outputs
         assert result.fault_stats["deaths"] == 1

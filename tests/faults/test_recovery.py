@@ -149,15 +149,15 @@ class TestZeroPlanEquivalence:
               "request_latencies", "core_occupancy", "section_occupancy",
               "noc_stats", "events", "stall_causes")
 
-    @pytest.mark.parametrize("event_driven", [False, True])
-    def test_zero_plan_is_the_perfect_machine(self, event_driven):
+    @pytest.mark.parametrize("kernel", ["naive", "event"])
+    def test_zero_plan_is_the_perfect_machine(self, kernel):
         prog = _prog()
         plain, _ = simulate(prog, SimConfig(
             n_cores=4, stack_shortcut=True, events=True,
-            event_driven=event_driven))
+            kernel=kernel))
         zeroed, _ = simulate(prog, SimConfig(
             n_cores=4, stack_shortcut=True, events=True,
-            event_driven=event_driven, faults=FaultPlan(seed=99)))
+            kernel=kernel, faults=FaultPlan(seed=99)))
         for name in self.FIELDS:
             assert getattr(plain, name) == getattr(zeroed, name), name
         assert plain.fault_stats is None

@@ -271,16 +271,15 @@ class TestWhileLoopEquivalence:
         assert forked.output == seq.output
         assert forked.return_value == seq.return_value
 
-        # both scheduler modes must agree with the oracle and each other
+        # both kernels must agree with the oracle and each other
         results = {}
-        for event_driven in (False, True):
-            sim, _ = simulate(forked_prog,
-                              SimConfig(n_cores=4, event_driven=event_driven))
+        for kernel in ("naive", "event"):
+            sim, _ = simulate(forked_prog, SimConfig(n_cores=4, kernel=kernel))
             assert sim.outputs == seq.output
             assert sim.return_value == seq.return_value
-            results[event_driven] = sim
-        assert results[False].cycles == results[True].cycles
-        assert results[False].requests == results[True].requests
+            results[kernel] = sim
+        assert results["naive"].cycles == results["event"].cycles
+        assert results["naive"].requests == results["event"].requests
 
 
 class TestForkTransformEquivalence:

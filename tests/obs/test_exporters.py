@@ -154,8 +154,8 @@ class TestCriticalPath:
     def test_identical_across_schedulers(self):
         prog = compile_source(PROGRAM, fork_mode=True)
         walks = []
-        for mode in (False, True):
+        for kernel in ("naive", "event"):
             res, _ = simulate(prog, SimConfig(n_cores=6, events=True,
-                                              event_driven=mode))
+                                              kernel=kernel))
             walks.append(critical_path(res))
         assert walks[0] == walks[1]

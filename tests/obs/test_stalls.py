@@ -134,9 +134,9 @@ class TestDeadlockDiagnostic:
         import pytest
         prog = compile_source(PROGRAM, fork_mode=True)
         messages = {}
-        for mode in (False, True):
+        for kernel in ("naive", "event"):
             with pytest.raises(Exception) as info:
                 simulate(prog, SimConfig(n_cores=4, max_cycles=40,
-                                         event_driven=mode))
-            messages[mode] = str(info.value)
-        assert messages[False] == messages[True]
+                                         kernel=kernel))
+            messages[kernel] = str(info.value)
+        assert messages["naive"] == messages["event"]

@@ -1,5 +1,7 @@
 """The repro.api stability facade."""
 
+import pytest
+
 import repro
 from repro import api
 from repro.runner import Job
@@ -73,14 +75,15 @@ class TestFacadeBatch:
 
 
 class TestApiV2:
-    """The v2 facade: snapshot/resume/checkpoints_of + the kernel=
-    spelling replacing event_driven=."""
+    """The v2 facade (snapshot/resume/checkpoints_of) as v3 left it:
+    kernel= is the only way to pick a kernel — the event_driven=
+    constructor argument and the vector kernel are gone."""
 
     _SIM = ("main:\n    movq $5, %rax\n    movq $7, %rbx\n"
             "    addq %rbx, %rax\n    out %rax\n    hlt\n")
 
-    def test_schema_version_is_two(self):
-        assert api.API_SCHEMA_VERSION == 2
+    def test_schema_version_is_three(self):
+        assert api.API_SCHEMA_VERSION == 3
 
     def test_snapshot_resume_roundtrip(self):
         prog = api.assemble(self._SIM)
@@ -104,17 +107,33 @@ class TestApiV2:
         snaps = api.checkpoints_of(prog, [2, 10 ** 9])
         assert [s.cycle for s in snaps] == [2, cold.result.cycles]
 
-    def test_event_driven_warns_and_maps(self):
-        import warnings
+    def test_event_driven_is_not_a_constructor_argument(self):
         from repro.sim import SimConfig
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            naive = SimConfig(event_driven=False)
-            event = SimConfig(event_driven=True)
-        assert naive.kernel == "naive" and event.kernel == "event"
-        assert len(caught) == 2
-        assert all(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
+        with pytest.raises(TypeError, match="event_driven"):
+            SimConfig(event_driven=True)
+
+    def test_vector_kernel_rejected_as_removed(self):
+        from repro.sim import SimConfig
+        with pytest.raises(ValueError, match="removed.*bit-identical"):
+            SimConfig(kernel="vector")
+        wire = SimConfig().to_dict()
+        wire["kernel"] = "vector"
+        with pytest.raises(ValueError, match="removed.*bit-identical"):
+            SimConfig.from_dict(wire)
+
+    def test_from_dict_accepts_legacy_event_driven_only_if_it_agrees(self):
+        from repro.errors import SimulationError
+        from repro.sim import SimConfig
+        for kernel in ("naive", "event"):
+            wire = SimConfig(kernel=kernel).to_dict()
+            assert wire["event_driven"] == (kernel != "naive")
+            assert SimConfig.from_dict(wire).kernel == kernel
+            wire["event_driven"] = kernel == "naive"
+            with pytest.raises(SimulationError, match="contradicts"):
+                SimConfig.from_dict(wire)
+        assert SimConfig.from_dict({"event_driven": True}).kernel == "event"
+        with pytest.raises(SimulationError, match="contradicts"):
+            SimConfig.from_dict({"event_driven": False})
 
     def test_kernel_spelling_does_not_warn(self):
         import warnings

@@ -1,48 +1,70 @@
-"""Differential harness: the event-driven fast path must be bit-identical
-to the naive every-core-every-cycle scheduler.
+"""Differential harness: the event kernel must be bit-identical to the
+naive every-core-every-cycle reference loop.
 
-Every program here is driven through ``SimConfig(event_driven=False)`` and
-``SimConfig(event_driven=True)`` under a matrix of core counts, placements,
-topologies and shortcut settings, and the two runs must agree on *every*
-architectural and micro-architectural outcome: cycle count, outputs, final
-registers, final memory, request counts/hops/latencies, per-core
+Every program here is driven through ``SimConfig(kernel="naive")`` and
+``SimConfig(kernel="event")`` and the two runs must agree on *every*
+architectural and micro-architectural outcome: cycle count, outputs,
+final registers, final memory, request counts/hops/latencies, per-core
 instruction counts, occupancy histograms, NoC counters — and, where
-enabled, the full per-cycle core-state trace.  Any scheduling bug in the
-fast path (a missed wake-up, an over-eager cycle skip, a reordered
-request) shows up as a field mismatch.
+enabled, the per-cycle core-state trace, the structured event stream,
+the stall causes, the windowed metrics and the fault counters.
+
+The matrix: a fixed corpus under core counts, placements, topologies
+and shortcut settings; every Table 1 workload fault-free and under a
+mixed chaos plan (drops, spikes, jitter, lost acks, two mid-run
+fail-stops); and randomized programs, some under randomized configs
+shipped through the wire format.  Any scheduling bug in the event
+kernel (a missed core or request wake-up, an over-eager cycle skip, a
+stale heap entry, a request stepped twice or out of order) shows up as
+a field mismatch naming the workload.  The Table 1 runs also log every
+renaming-request step, so the lazy request scheduler is checked step
+by step as well: it must advance each request at exactly the cycles the
+naive loop does, and skip only steps the naive loop spends re-checking.
 """
+
+import collections
+import functools
+import operator
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.faults import CoreDeath, FaultPlan
 from repro.fork import fork_transform
 from repro.minic import compile_source
-from repro.sim import SimConfig, simulate
-from repro.workloads import get_workload
+from repro.sim import Processor, SimConfig, simulate
+from repro.workloads import WORKLOADS, get_workload
 
-#: SimResult fields that must match bit-for-bit between scheduler modes
+ALL_SHORTS = [w.short for w in WORKLOADS]
+
+#: SimResult fields that must match bit-for-bit between the kernels
 COMPARED_FIELDS = (
     "cycles", "instructions", "sections", "outputs", "final_regs",
     "final_memory", "fetch_end", "retire_end", "fetch_computed",
     "requests", "request_hops", "per_core_instructions",
     "request_latencies", "core_occupancy", "section_occupancy",
-    "noc_stats", "trace", "events", "stall_causes",
+    "noc_stats", "trace", "events", "stall_causes", "fault_stats",
+    "metrics",
 )
 
 
 def run_both(prog, **cfg_kwargs):
-    naive, _ = simulate(prog, SimConfig(event_driven=False, **cfg_kwargs))
-    event, _ = simulate(prog, SimConfig(event_driven=True, **cfg_kwargs))
+    naive, _ = simulate(prog, SimConfig(kernel="naive", **cfg_kwargs))
+    event, _ = simulate(prog, SimConfig(kernel="event", **cfg_kwargs))
     return naive, event
+
+
+def _assert_fields_equal(event, naive, what):
+    for name in COMPARED_FIELDS:
+        assert getattr(event, name) == getattr(naive, name), (
+            "field %r differs between the event and naive kernels on %s"
+            % (name, what))
 
 
 def assert_identical(prog, **cfg_kwargs):
     naive, event = run_both(prog, **cfg_kwargs)
     assert naive.scheduler == "naive" and event.scheduler == "event"
-    for name in COMPARED_FIELDS:
-        assert getattr(naive, name) == getattr(event, name), (
-            "field %r differs between schedulers under %r"
-            % (name, cfg_kwargs))
+    _assert_fields_equal(event, naive, repr(cfg_kwargs))
     return naive, event
 
 
@@ -145,17 +167,17 @@ class TestFixedCorpus:
         assert naive.trace == event.trace
 
     def test_deadlock_diagnostic_identical(self):
-        # An unproducible import deadlocks the run; both schedulers must
+        # An unproducible import deadlocks the run; both kernels must
         # hit the cycle budget with the same error at the same cycle.
         prog = compile_source(RECURSIVE_SUM, fork_mode=True)
         errors = {}
-        for mode in (False, True):
-            cfg = SimConfig(n_cores=4, max_cycles=200, event_driven=mode)
+        for kernel in ("naive", "event"):
+            cfg = SimConfig(n_cores=4, max_cycles=200, kernel=kernel)
             with pytest.raises(Exception) as info:
                 simulate(prog, cfg)
-            errors[mode] = str(info.value)
-        assert errors[False] == errors[True]
-        assert "cycle budget exhausted at cycle 201" in errors[False]
+            errors[kernel] = str(info.value)
+        assert errors["naive"] == errors["event"]
+        assert "cycle budget exhausted at cycle 201" in errors["naive"]
 
 
 class TestWorkloadDifferential:
@@ -170,11 +192,199 @@ class TestWorkloadDifferential:
             assert naive.signed_outputs == inst.expected_output
 
 
+# -- the Table 1 suite, fault-free and under chaos ----------------------------
+
+N_CORES = 8
+
+#: the mixed chaos plan (mirrors tests/faults/test_differential.py):
+#: drops with a tight retry ladder, random spikes, slow-core jitter,
+#: lost acks — deaths are added per workload from the fault-free length
+CHAOS = dict(seed=2015, drop_rate=0.08, spike_rate=0.05, jitter_rate=0.03,
+             ack_loss_rate=0.08, retry_timeout=2, backoff_cap=16)
+
+#: window small enough that every workload spans many windows, odd so
+#: window boundaries don't align with round timing artifacts
+METRICS_WINDOW = 37
+
+
+@functools.lru_cache(maxsize=None)
+def _program(short):
+    inst = get_workload(short).instance(scale=0, seed=1)
+    return fork_transform(inst.program)
+
+
+#: RenameRequest fields a step can advance, besides the two _walk_state
+#: adds itself; the lazy scheduler's own bookkeeping (step_cycle,
+#: timed_cycle) is left out
+_walk_fields = operator.attrgetter(
+    "before", "cut_child", "cut_index", "at_section", "cur_core",
+    "hit_cell", "producer_core", "producer_sid", "value", "line_clean",
+    "line_values", "reply_cycle", "done", "hops")
+
+
+def _walk_state(req, now):
+    """Comparable image of a request's walk around a step at cycle *now*
+    (sections and cells compare by identity).  The return-path list
+    grows in place, so it counts by length; ``wake_cycle`` counts as the
+    earliest cycle the request may step next — a coalescing re-check
+    rewrites it to ``now + 1``, which bounds nothing."""
+    return _walk_fields(req) + (len(req.visited or ()),
+                                max(req.wake_cycle, now + 1))
+
+
+class _StepRecorder(Processor):
+    """A processor that logs its renaming-request steps.  Both kernels
+    step requests only through ``_step_request``; this wraps it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.steps = 0          #: _step_request calls
+        self.repeats = 0        #: steps of a request stepped this cycle
+        self.moves = set()      #: (rid, cycle) of steps that changed the walk
+        self.span = {}          #: rid -> [first, last] cycle it was stepped
+
+    def _step_request(self, req, now):
+        before = _walk_state(req, now)
+        desc = super()._step_request(req, now)
+        self.steps += 1
+        span = self.span.get(req.rid)
+        if span is None:
+            self.span[req.rid] = [now, now]
+        else:
+            self.repeats += span[1] == now
+            span[1] = now
+        if _walk_state(req, now) != before:
+            self.moves.add((req.rid, now))
+        return desc
+
+
+StepLog = collections.namedtuple("StepLog",
+                                 "steps repeats moves span requests")
+
+
+@functools.lru_cache(maxsize=None)
+def _recorded(short, kernel, chaos):
+    """One Table 1 run with its :class:`StepLog`: fault-free with the
+    core-state trace, or under the workload's chaos plan."""
+    if chaos:
+        config = SimConfig(
+            n_cores=N_CORES, kernel=kernel, events=True,
+            metrics_window=METRICS_WINDOW, faults=_chaos_plan(short))
+    else:
+        config = SimConfig(
+            n_cores=N_CORES, kernel=kernel, events=True, trace=True,
+            metrics_window=METRICS_WINDOW)
+    proc = _StepRecorder(_program(short), config)
+    result = proc.run()
+    return result, StepLog(proc.steps, proc.repeats, proc.moves, proc.span,
+                           len(proc.requests))
+
+
+def _fault_free(short, kernel):
+    return _recorded(short, kernel, False)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _chaos_plan(short):
+    base = _fault_free(short, "naive")
+    deaths = (CoreDeath(core=N_CORES - 1, cycle=max(1, base.cycles // 4)),
+              CoreDeath(core=N_CORES - 2, cycle=max(2, base.cycles // 2)))
+    return FaultPlan(deaths=deaths, **CHAOS)
+
+
+def _chaotic(short, kernel):
+    return _recorded(short, kernel, True)[0]
+
+
+class TestTable1FaultFree:
+    @pytest.mark.parametrize("short", ALL_SHORTS)
+    def test_kernels_identical(self, short):
+        res = _fault_free(short, "event")
+        assert res.scheduler == "event"
+        _assert_fields_equal(res, _fault_free(short, "naive"), short)
+
+    @pytest.mark.parametrize("short", ALL_SHORTS)
+    def test_reference_is_the_workload_answer(self, short):
+        inst = get_workload(short).instance(scale=0, seed=1)
+        assert _fault_free(short, "naive").signed_outputs == \
+            inst.expected_output
+
+
+class TestTable1Chaos:
+    @pytest.mark.parametrize("short", ALL_SHORTS)
+    def test_kernels_identical_under_faults(self, short):
+        _assert_fields_equal(_chaotic(short, "event"),
+                             _chaotic(short, "naive"), short)
+
+    @pytest.mark.parametrize("short", ALL_SHORTS)
+    def test_chaos_perturbs_timing_never_values(self, short):
+        base = _fault_free(short, "naive")
+        faulted = _chaotic(short, "event")
+        assert faulted.outputs == base.outputs
+        assert faulted.final_memory == base.final_memory
+        assert faulted.cycles >= base.cycles
+        assert faulted.fault_stats["deaths"] == 2
+
+
+class TestLazyRequestScheduler:
+    """Step-level view of the event kernel's lazy request scheduler on
+    the Table 1 runs above.  The naive loop steps every live request
+    every cycle; the event kernel steps a request only when its time
+    came due or something it waits on (a cell, a section's state, a
+    fork) changed.  The steps it skips must be exactly the naive loop's
+    no-op re-checks."""
+
+    @staticmethod
+    def _logs(short, chaos):
+        return (_recorded(short, "naive", chaos)[1],
+                _recorded(short, "event", chaos)[1])
+
+    @pytest.mark.parametrize("short", ALL_SHORTS)
+    def test_requests_advance_at_the_naive_cycles(self, short):
+        naive, event = self._logs(short, chaos=False)
+        assert naive.moves, "a Table 1 run must advance requests"
+        assert event.moves == naive.moves, (
+            "%s: the event kernel advanced requests at other cycles "
+            "than the naive loop (missing %s, extra %s)" % (
+                short, sorted(naive.moves - event.moves)[:5],
+                sorted(event.moves - naive.moves)[:5]))
+
+    @pytest.mark.parametrize("short", ALL_SHORTS)
+    def test_requests_advance_at_the_naive_cycles_under_faults(self, short):
+        naive, event = self._logs(short, chaos=True)
+        assert event.moves == naive.moves, (
+            "%s under chaos: missing %s, extra %s" % (
+                short, sorted(naive.moves - event.moves)[:5],
+                sorted(event.moves - naive.moves)[:5]))
+
+    @pytest.mark.parametrize("short", ALL_SHORTS)
+    def test_each_request_steps_at_most_once_per_cycle(self, short):
+        for chaos in (False, True):
+            naive, event = self._logs(short, chaos)
+            assert event.repeats == 0, (short, chaos)
+            # ... and every request issued is stepped at least once
+            assert event.requests == naive.requests
+            assert sorted(event.span) == list(range(event.requests))
+
+    @pytest.mark.parametrize("short", ALL_SHORTS)
+    def test_steps_are_a_strict_subset_of_the_naive_scan(self, short):
+        for chaos in (False, True):
+            naive, event = self._logs(short, chaos)
+            for rid, (first, last) in event.span.items():
+                lo, hi = naive.span[rid]
+                assert lo <= first and last <= hi, (
+                    "%s (chaos=%s): request %d stepped at cycles %d..%d, "
+                    "outside its live range %d..%d"
+                    % (short, chaos, rid, first, last, lo, hi))
+            assert event.steps < naive.steps, (short, chaos)
+
+
 class TestEventStreamDifferential:
     """The structured event stream and the stall-cause attribution must be
-    equal between scheduler modes — the core contract of the observability
-    layer (park/wake events are synthesized from the mode-identical state
-    timeline, everything else from state transitions PR 1 proved equal)."""
+    equal between the kernels — the core contract of the observability
+    layer (park/wake events are synthesized from the kernel-identical
+    state timeline, everything else from state transitions the harness
+    above proves equal)."""
 
     @pytest.mark.parametrize("short,n", [("quicksort", 10),
                                          ("dictionary", 10), ("bfs", 6)])
@@ -286,3 +496,35 @@ class TestRandomizedDifferential:
         prog = compile_source(src, fork_mode=True)
         naive, _ = assert_identical(prog, n_cores=n_cores)
         assert naive.signed_outputs == [sum(v * mul + 1 for v in values)]
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(values=st.lists(st.integers(min_value=-40, max_value=40),
+                           min_size=4, max_size=8),
+           op=st.sampled_from(["+", "^", "min"]),
+           fanout=st.integers(min_value=2, max_value=3),
+           n_cores=st.sampled_from([1, 4, 9]),
+           topology=st.sampled_from(["uniform", "mesh"]),
+           fetch_width=st.integers(min_value=1, max_value=3),
+           shortcut=st.booleans(),
+           metrics_window=st.sampled_from([None, 1, 17, 100]))
+    def test_random_configs_through_the_wire_format(
+            self, values, op, fanout, n_cores, topology, fetch_width,
+            shortcut, metrics_window):
+        """Random configuration draws: the kernels must agree after the
+        config has been through its canonical wire format (the batch
+        runner always ships configs as dicts, so the agreement must hold
+        for the deserialized config, not just the constructed one)."""
+        prog = compile_source(_reduce_program(values, op, fanout),
+                              fork_mode=True)
+        knobs = dict(n_cores=n_cores, topology=topology,
+                     fetch_width=fetch_width, stack_shortcut=shortcut,
+                     events=True, metrics_window=metrics_window)
+        results = {}
+        for kernel in ("naive", "event"):
+            config = SimConfig.from_dict(
+                SimConfig(kernel=kernel, **knobs).to_dict())
+            assert config.kernel == kernel
+            results[kernel], _ = simulate(prog, config)
+        _assert_fields_equal(results["event"], results["naive"],
+                             "random program under %r" % (knobs,))

@@ -1,30 +1,22 @@
-"""64-bit dtype regression: values through the numpy register file.
+"""64-bit wraparound regression: edge values through both kernels.
 
-The vector kernel stores fetch register files in ``uint64`` numpy planes
-(:class:`repro.sim.vectorized.RegTable`).  A Python int survives that
-round trip only if it was pre-masked to ``[0, 2**64)`` — a negative or
-131-bit intermediate stored raw would either truncate silently (numpy
-1.x) or raise (numpy 2.x).  These tests push the hostile values through
-both levels: the raw RegTable/RegFileSoA write path, and whole programs
-whose registers hold negatives, values at and above ``2**31`` (the
-classic int32 cliff) and both 64-bit wraparound edges, checked across
-all three kernels and against the repro.machine oracles.
+The simulator's values are Python ints masked to ``[0, 2**64)`` at every
+write.  These programs push hostile values through the register files,
+renaming requests and memory: negatives, values at and above ``2**31``
+(the classic int32 cliff) and both 64-bit wraparound edges, checked on
+the naive and event kernels and against the repro.machine oracles.
 """
 
 import pytest
 
-from repro.fork import fork_transform
 from repro.machine import run_forked, run_sequential
 from repro.minic import compile_source
 from repro.sim import SimConfig, simulate
-from repro.sim.cells import Cell
-from repro.sim.vectorized import (EMPTY, FULL, PENDING, REG_INDEX,
-                                  RegFileSoA, RegTable)
 
 WRAP = 1 << 64
 MASK = WRAP - 1
 
-KERNELS = ("naive", "event", "vector")
+KERNELS = ("naive", "event")
 
 
 def c_wrap(value):
@@ -56,51 +48,6 @@ EDGE_EXPECTED = [-1, 2**31, -(2**31) - 1, 2**63 - 1, -(2**63),
                  c_wrap(2**63)]
 
 
-class TestRegTable:
-    def test_values_survive_the_uint64_plane_exactly(self):
-        table = RegTable(capacity=1)
-        fregs = RegFileSoA(table, table.alloc(), {})
-        for i, value in enumerate([0, 1, 2**31, 2**63 - 1, 2**63,
-                                   WRAP - 1, (-1) & MASK,
-                                   (-(2**63)) & MASK]):
-            reg = "r%d" % (8 + i)
-            fregs[reg] = Cell.full(value)
-            assert int(table.values[fregs.row, REG_INDEX[reg]]) == value
-            assert fregs[reg].value == value
-
-    def test_pending_then_empty_transitions(self):
-        table = RegTable(capacity=1)
-        fregs = RegFileSoA(table, table.alloc(), {})
-        cell = Cell(origin="test")
-        fregs["rax"] = cell
-        assert table.state[fregs.row, REG_INDEX["rax"]] == PENDING
-        del fregs["rax"]
-        assert table.state[fregs.row, REG_INDEX["rax"]] == EMPTY
-        fregs["rax"] = Cell.full(WRAP - 1)
-        assert table.state[fregs.row, REG_INDEX["rax"]] == FULL
-        assert int(table.values[fregs.row, REG_INDEX["rax"]]) == WRAP - 1
-
-    def test_unmasked_store_fails_loudly(self):
-        # numpy 2.x refuses out-of-range uint64 stores: a masking bug
-        # upstream surfaces as an exception, never silent truncation
-        table = RegTable(capacity=1)
-        fregs = RegFileSoA(table, table.alloc(), {})
-        with pytest.raises(OverflowError):
-            fregs["rax"] = Cell.full(-1)
-        with pytest.raises(OverflowError):
-            fregs["rbx"] = WRAP
-
-    def test_growth_preserves_rows(self):
-        table = RegTable(capacity=1)
-        files = []
-        for i in range(5):
-            files.append(RegFileSoA(table, table.alloc(),
-                                    {"rax": Cell.full(2**63 + i)}))
-        for i, fregs in enumerate(files):
-            assert int(table.values[fregs.row,
-                                    REG_INDEX["rax"]]) == 2**63 + i
-
-
 class TestEdgeValuePrograms:
     @pytest.fixture(scope="class")
     def runs(self):
@@ -115,12 +62,11 @@ class TestEdgeValuePrograms:
 
     def test_kernels_identical_on_edge_values(self, runs):
         ref = runs["naive"]
-        for kernel in ("event", "vector"):
-            res = runs[kernel]
-            assert res.outputs == ref.outputs
-            assert res.final_regs == ref.final_regs
-            assert res.final_memory == ref.final_memory
-            assert res.cycles == ref.cycles
+        res = runs["event"]
+        assert res.outputs == ref.outputs
+        assert res.final_regs == ref.final_regs
+        assert res.final_memory == ref.final_memory
+        assert res.cycles == ref.cycles
 
     def test_matches_machine_oracles(self, runs):
         seq = run_sequential(compile_source(EDGE_SOURCE))
@@ -131,10 +77,10 @@ class TestEdgeValuePrograms:
 
     def test_edge_values_cross_section_boundaries(self, runs):
         # the recursion forks sections, so the 2**62 partial products
-        # travel through renaming requests and the RegTable planes —
-        # a single-section run would not exercise the remote path
-        assert runs["vector"].sections > 1
-        assert runs["vector"].requests > 0
+        # travel through renaming requests — a single-section run would
+        # not exercise the remote path
+        assert runs["event"].sections > 1
+        assert runs["event"].requests > 0
 
 
 class TestEdgeValuesInMemory:

@@ -4,8 +4,8 @@
 (cycles, sections, outputs, request traffic, per-core instruction counts,
 final registers, a digest of final memory) for three small fixed
 workloads — one each from ``workloads/{sorting,hashing,graphs}.py`` —
-captured from the pre-event-scheduler seed simulator.  Both scheduler
-modes must keep reproducing these numbers exactly: any drift in cycle
+captured from the pre-event-scheduler seed simulator.  Both kernels
+must keep reproducing these numbers exactly: any drift in cycle
 counts, section structure or request traffic is a semantic change to the
 simulated machine and must be deliberate (regeneration recipe: DESIGN.md,
 "Golden traces").
@@ -51,8 +51,8 @@ def first_trace_divergence(prog, config_a, config_b):
     state timelines differ, as ``(cycle, core, state_a, state_b)`` with
     human-readable state names — or None when the timelines are equal.
 
-    This is the locator attached to golden failures under the non-naive
-    kernels: "cycles drifted" alone is unactionable, "core 3 parked at
+    This is the locator attached to golden failures under the event
+    kernel: "cycles drifted" alone is unactionable, "core 3 parked at
     cycle 214 where the naive kernel kept it blocked" points at the
     scheduling decision that went wrong."""
     res_a, _ = simulate(prog, replace(config_a, trace=True))
@@ -82,7 +82,7 @@ def _divergence_note(prog, config):
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
-@pytest.mark.parametrize("kernel", ["naive", "event", "vector"])
+@pytest.mark.parametrize("kernel", ["naive", "event"])
 def test_golden_workload(key, kernel):
     entry = GOLDEN[key]
     prog, inst = _program_for(entry)
@@ -111,7 +111,7 @@ class TestDivergenceLocator:
         prog, _ = _program_for(entry)
         base = SimConfig(n_cores=entry["n_cores"],
                          stack_shortcut=entry["stack_shortcut"],
-                         kernel="vector")
+                         kernel="event")
         # a slower NoC legitimately changes the timeline: the locator
         # must pinpoint where, with readable state names
         slower = replace(base, noc_latency=base.noc_latency + 2)
@@ -129,7 +129,7 @@ class TestDivergenceLocator:
                          stack_shortcut=entry["stack_shortcut"],
                          kernel="naive")
         assert first_trace_divergence(
-            prog, base, replace(base, kernel="vector")) is None
+            prog, base, replace(base, kernel="event")) is None
 
 
 def test_golden_file_covers_three_workload_families():

@@ -1,14 +1,16 @@
 """Resume-at-k differential: snapshot resume is bit-identical to cold.
 
-The tentpole proof of the snapshot subsystem, mirroring the three-way
-kernel harness: every Table 1 workload × every kernel × fault-free and
+The tentpole proof of the snapshot subsystem, mirroring the two-way
+kernel harness: every Table 1 workload × both kernels × fault-free and
 chaos, checkpointed mid-run (for chaos: between the two scheduled core
 deaths, so the fault engine's cursor is itself mid-state), resumed, and
 compared on **every** result field — events, metrics and fault counters
-included.  Plus the warm-fork path used by the chaos grid: attaching a
-``start_cycle``-gated fault plan to a fault-free snapshot must be
-bit-identical to the cold run with the same gated plan attached from
-cycle 0.
+included.  The event kernel is also resumed from three points of each
+chaos run, so its lazy-scheduler state is restored mid-flight at
+different depths.  Plus the warm-fork path used by the chaos grid:
+attaching a ``start_cycle``-gated fault plan to a fault-free snapshot
+must be bit-identical to the cold run with the same gated plan attached
+from cycle 0.
 """
 
 import functools
@@ -19,11 +21,11 @@ from repro.faults import CoreDeath, FaultPlan
 from repro.sim import SimConfig, simulate
 from repro.snapshot import Snapshot, SnapshotError, resume
 
-from .test_differential_vector import (
+from .test_differential import (
     ALL_SHORTS, COMPARED_FIELDS, METRICS_WINDOW, N_CORES, _chaos_plan,
     _program)
 
-KERNELS = ("naive", "event", "vector")
+KERNELS = ("naive", "event")
 
 
 def _config(short, kernel, chaos, **extra):
@@ -75,6 +77,29 @@ class TestResumeDifferential:
             assert getattr(warm, name) == getattr(cold, name), (
                 "field %r differs after resume (%s, %s, chaos)"
                 % (name, short, kernel))
+
+
+class TestResumeAnywhere:
+    """The event kernel pickles its lazy-scheduler state (awake set, time
+    heaps, cell and section waiters, fork-routed set) into every
+    snapshot, so one mid-run point is not enough: under chaos,
+    checkpoint before the first death, at the second and after both,
+    and resume each one."""
+
+    @pytest.mark.parametrize("short", ALL_SHORTS)
+    def test_chaos_resume_before_at_and_after_deaths(self, short):
+        cycles = _fault_free_cycles(short)
+        labels = (max(2, cycles // 6), cycles // 2, cycles * 5 // 6)
+        cold, proc = simulate(_program(short), SimConfig(
+            n_cores=N_CORES, faults=_chaos_plan(short),
+            checkpoint_cycles=labels))
+        assert tuple(snap.cycle for snap in proc.checkpoints) == labels
+        for snap in proc.checkpoints:
+            warm, _ = resume(Snapshot.from_bytes(snap.to_bytes()))
+            for name in COMPARED_FIELDS:
+                assert getattr(warm, name) == getattr(cold, name), (
+                    "field %r differs after resume at cycle %d (%s, chaos)"
+                    % (name, snap.cycle, short))
 
 
 class TestWarmFork:

@@ -63,12 +63,20 @@ class TestCLI:
 
     def test_simulate_scheduler_modes_agree(self, minic_file, capsys):
         outputs = []
-        for scheduler in ("naive", "event"):
+        for kernel in ("naive", "event"):
             assert main(["simulate", minic_file, "--cores", "4",
-                         "--scheduler", scheduler]) == 0
+                         "--kernel", kernel]) == 0
             outputs.append(capsys.readouterr().out)
-        # cycle counts and outputs printed by the two modes are identical
+        # cycle counts and outputs printed by the two kernels are identical
         assert outputs[0] == outputs[1]
+
+    def test_removed_vector_kernel_rejected(self, minic_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", minic_file, "--kernel", "vector"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'vector' was removed" in err
+        assert "bit-identical to 'event'" in err
 
     def test_stats_text(self, minic_file, capsys):
         assert main(["stats", minic_file, "--cores", "4"]) == 0
@@ -92,10 +100,10 @@ class TestCLI:
 
     def test_stats_json_naive_matches_event(self, minic_file, capsys):
         payloads = {}
-        for scheduler in ("naive", "event"):
+        for kernel in ("naive", "event"):
             assert main(["stats", minic_file, "--cores", "4", "--json",
-                         "--scheduler", scheduler]) == 0
-            payloads[scheduler] = json.loads(capsys.readouterr().out)
+                         "--kernel", kernel]) == 0
+            payloads[kernel] = json.loads(capsys.readouterr().out)
         for payload in payloads.values():
             del payload["scheduler"]
         assert payloads["naive"] == payloads["event"]
@@ -146,9 +154,9 @@ class TestCLI:
 
     def test_analyze_schedulers_agree(self, minic_file, capsys):
         reports = []
-        for scheduler in ("naive", "event"):
+        for kernel in ("naive", "event"):
             assert main(["analyze", minic_file, "--cores", "4",
-                         "--scheduler", scheduler]) == 0
+                         "--kernel", kernel]) == 0
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
 
@@ -251,7 +259,6 @@ class TestLintCLI:
         assert main(["lint", "--validate", minic_file]) == 0
         out = capsys.readouterr().out
         assert "machine: sound" in out and "sim: sound" in out
-        assert "sim[vector]: sound" in out
 
     def test_json_payload(self, minic_file, capsys):
         assert main(["lint", "--json", minic_file]) == 0
@@ -268,7 +275,7 @@ class TestLintCLI:
         payload = json.loads(capsys.readouterr().out)
         (target,) = payload["targets"]
         sources = [v["source"] for v in target["validations"]]
-        assert sources == ["machine", "sim", "sim[vector]"]
+        assert sources == ["machine", "sim"]
         assert all(v["sound"] for v in target["validations"])
 
     def test_diagnostics_carry_position(self, tmp_path, capsys):
@@ -312,7 +319,7 @@ class TestDepsCLI:
     def test_validate_all_kernels(self, minic_file, capsys):
         assert main(["deps", minic_file, "--validate"]) == 0
         out = capsys.readouterr().out
-        for kernel in ("event", "naive", "vector"):
+        for kernel in ("event", "naive"):
             assert "deps[%s]: sound" % kernel in out
 
     def test_dot_output(self, minic_file, capsys):
@@ -329,7 +336,7 @@ class TestDepsCLI:
         assert target["name"] == minic_file
         assert set(target["bound"]["speedup"]) == {"16", "64"}
         assert [v["kernel"] for v in target["validations"]] == [
-            "event", "naive", "vector"]
+            "event", "naive"]
         assert all(v["sound"] for v in target["validations"])
 
     def test_simulate_optimize_flag(self, minic_file, capsys):
@@ -397,12 +404,11 @@ class TestMetricsCLI:
 
     def test_metrics_kernels_agree(self, minic_file, capsys):
         payloads = {}
-        for kernel in ("naive", "event", "vector"):
+        for kernel in ("naive", "event"):
             assert main(["metrics", minic_file, "--cores", "4",
                          "--kernel", kernel, "--window", "40"]) == 0
             payloads[kernel] = json.loads(capsys.readouterr().out)
-        assert payloads["naive"] == payloads["event"] == \
-            payloads["vector"]
+        assert payloads["naive"] == payloads["event"]
 
     def test_stats_json_carries_schema_version(self, minic_file, capsys):
         assert main(["stats", minic_file, "--cores", "4", "--json"]) == 0
