@@ -34,7 +34,6 @@ Every gating run (pass or fail, but not ``--update``) also appends one
 normalized row — speedups, cycle totals, cache hit rate, host-metrics
 digest — to ``benchmarks/results/TRAJECTORY.jsonl`` via
 :mod:`trajectory`, building a machine-readable perf history of the repo.
-``--no-trajectory`` opts out.
 """
 
 from __future__ import annotations
@@ -546,9 +545,6 @@ def main(argv=None) -> int:
     parser.add_argument("--cache-dir", metavar="DIR",
                         help="result cache for the --full sweep (timing "
                              "checks never use it)")
-    parser.add_argument("--no-trajectory", action="store_true",
-                        help="skip appending a row to "
-                             "benchmarks/results/TRAJECTORY.jsonl")
     args = parser.parse_args(argv)
 
     gate = Gate()
@@ -565,7 +561,7 @@ def main(argv=None) -> int:
     # record the run in the perf-trajectory history (pass AND fail rows
     # both matter; --update rewrites baselines so its measurements are
     # not comparable and are skipped)
-    if not args.update and not args.no_trajectory:
+    if not args.update:
         import trajectory
         row = trajectory.build_row(
             passed=not gate.failures, failures=gate.failures,

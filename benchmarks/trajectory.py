@@ -2,7 +2,7 @@
 
 ``check_regression.py`` appends a row to
 ``benchmarks/results/TRAJECTORY.jsonl`` every time the gate runs (unless
-``--update`` or ``--no-trajectory``), so the repo accumulates a
+``--update``), so the repo accumulates a
 trajectory of its own performance — speedups, per-workload cycle totals,
 cache hit rate and a digest of the batch engine's host metrics — instead
 of only ever knowing its latest BENCH snapshot.  Rows are append-only

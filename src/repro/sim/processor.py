@@ -486,9 +486,9 @@ class Processor:
             # ARQ before the cut is renamed again.
             return (sec.renamed_count > arg
                     and (not sec.arq or sec.arq[0].index >= arg))
-        # "line": the coalesced import filled, or the word itself landed
-        return (self._pending_line_import(sec, arg) is None
-                or sec.maat.get(arg) is not None)
+        # "line": the word itself landed, or the coalesced import filled
+        return (sec.maat.get(arg) is not None
+                or self._probe_line(sec, arg)[1] is None)
 
     # ------------------------------------------------------------------
     # section creation (fork)
@@ -655,12 +655,15 @@ class Processor:
             self._step_request(req, now)
 
     def _fill_dest(self, req: RenameRequest, now: int) -> None:
-        """Deliver the answer into the requester's import cell.  A memory
-        fill changes the requester's MAAT-pending-import state, which
-        requests parked on its line may be waiting on."""
+        """Deliver the answer into the requester's import cell, and a
+        full-line DMH reply into the return path.  A memory fill changes
+        the requester's MAAT-pending-import state, which requests parked
+        on its line may be waiting on."""
         req.dest_cell.fill(req.value, now)
         req.done = True
-        if req.kind == "mem" and req.requester.req_waiters is not None:
+        if req.line_values:
+            self._install_line(req, now)
+        elif req.kind == "mem" and req.requester.req_waiters is not None:
             self.section_event(req.requester)
         if self.tracer is not None:
             self.tracer.emit(now, "request_fill", rid=req.rid,
@@ -681,17 +684,7 @@ class Processor:
         # reply in flight
         if req.reply_cycle is not None:
             if now >= req.reply_cycle:
-                if req.line_values:
-                    req.dest_cell.fill(req.value, now)
-                    req.done = True
-                    self._install_line(req, now)
-                    if req.requester.req_waiters is not None:
-                        self.section_event(req.requester)
-                    if tracer is not None:
-                        tracer.emit(now, "request_fill", rid=req.rid,
-                                    sid=req.requester.sid, value=req.value)
-                else:
-                    self._fill_dest(req, now)
+                self._fill_dest(req, now)
             return None
         # waiting for the producer's value
         if req.hit_cell is not None:
@@ -742,23 +735,23 @@ class Processor:
             if not pred.mem_final:
                 return pred
             entry = pred.maat.get(req.addr)
-            if req.line_clean:
-                if self._line_touched(pred, req.addr):
-                    req.line_clean = False
-                else:
-                    if req.visited is None:
-                        req.visited = []
-                    req.visited.append(pred)
-        if entry is None:
-            if req.kind == "mem":
-                cell = self._pending_line_import(pred, req.addr)
-                if cell is not None:
+            if entry is None or req.line_clean:
+                touched, pending = self._probe_line(pred, req.addr)
+                if req.line_clean:
+                    if touched:
+                        req.line_clean = False
+                    else:
+                        if req.visited is None:
+                            req.visited = []
+                        req.visited.append(pred)
+                if entry is None and pending is not None:
                     # A walk for the same memory line is already in flight
                     # through this section: coalesce (MSHR-style) — once
                     # that import fills, the line lands here and we hit
                     # locally.
                     req.wake_cycle = now + 1
-                    return cell
+                    return pending
+        if entry is None:
             # miss: hop to the next predecessor right away (one cycle per
             # section visited — "the renaming request travels from section
             # to section until a producer is found")
@@ -800,41 +793,45 @@ class Processor:
 
     def _install_line(self, req: RenameRequest, now: int) -> None:
         """Cache the DMH line along the return path: the requester and
-        every visited section get ready import cells in their MAATs, so
-        later requests for neighbouring words hit close by.  Sound because
-        the clean-line walk proved no earlier section touched the line
-        (and visited sections are fetch-complete, so no new forks can
-        insert writers behind them)."""
-        holders = [req.requester] + (req.visited or [])
-        for section in holders:
-            for word, value in req.line_values:
-                if word in section.maat:
-                    continue
-                cell = Cell(origin="s%d:line:%x" % (section.sid, word),
-                            is_import=True)
-                cell.fill(value, now)
-                section.maat[word] = cell
+        every visited section map each word they do not already map to
+        one shared, filled import cell, so later requests for
+        neighbouring words hit close by.  Sharing is safe because a cell
+        is written once, at its fill, and a MAAT store replaces the entry
+        instead of writing the cell.  Sound because the clean-line walk
+        proved no earlier section touched the line (and visited sections
+        are fetch-complete, so no new forks can insert writers behind
+        them)."""
+        cells = []
+        for word, value in req.line_values:
+            cell = Cell(origin="dmh:line:%x" % word, is_import=True)
+            cell.fill(value, now)
+            cells.append((word, cell))
+        for section in [req.requester] + (req.visited or []):
+            for word, cell in cells:
+                section.maat.setdefault(word, cell)
             if section.req_waiters is not None:
                 self.section_event(section)
 
-    def _pending_line_import(self, section, addr: int) -> Optional[Cell]:
-        """*section*'s first not-yet-filled import cell for addr's line,
-        if any (a coalescing request waits behind it)."""
+    def _probe_line(self, section: SectionState, addr: int
+                    ) -> Tuple[bool, Optional[Cell]]:
+        """One scan of *section*'s MAAT over addr's memory line, addr
+        itself excluded: does it map any other word of the line, and its
+        first not-yet-filled import among them, if any (a request for
+        addr coalesces behind it)."""
+        maat = section.maat
+        if not maat:
+            return False, None
+        touched = False
         base = addr & ~(self.cfg.line_bytes - 1)
         for word in range(base, base + self.cfg.line_bytes, WORD):
-            cell = section.maat.get(word)
-            if cell is not None and cell.is_import and not cell.ready:
-                return cell
-        return None
-
-    def _line_touched(self, section, addr: int) -> bool:
-        """Does *section*'s MAAT hold any word of addr's memory line
-        (other than addr itself)?"""
-        base = addr & ~(self.cfg.line_bytes - 1)
-        for word in range(base, base + self.cfg.line_bytes, WORD):
-            if word != addr and word in section.maat:
-                return True
-        return False
+            if word == addr:
+                continue
+            cell = maat.get(word)
+            if cell is not None:
+                if cell.is_import and cell.value is None:
+                    return True, cell
+                touched = True
+        return touched, None
 
     def _step_shortcut_request(self, req: RenameRequest, now: int
                                ) -> Optional[SectionState]:

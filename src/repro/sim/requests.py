@@ -79,7 +79,7 @@ class RenameRequest:
     #: no visited section touched the requested address's line: the DMH
     #: may reply with the full line for the requester to cache
     line_clean: bool = True
-    #: (addr, value) pairs of the line's other words, from a DMH reply
+    #: (addr, value) pairs of every word of the line, from a DMH reply
     line_values: Optional[list] = None
     #: sections visited by a clean-line walk — the "return path" that
     #: caches the line (paper footnote 5)

@@ -1,6 +1,8 @@
 """Simulator-internal behaviours: progressive folding, determinism,
 mixed call/fork programs, line-grained DMH replies."""
 
+import collections
+
 import pytest
 
 from repro.fork import fork_transform
@@ -9,6 +11,10 @@ from repro.machine import run_forked
 from repro.minic import compile_source
 from repro.paper import paper_array, sum_forked_program
 from repro.sim import Processor, SimConfig, simulate
+from repro.snapshot import Snapshot, capture_prefix, resume
+
+from .test_differential import COMPARED_FIELDS
+from .test_line_walks import sum_config, sum_reduction
 
 
 class TestProgressiveFold:
@@ -101,6 +107,29 @@ class TestMixedCallFork:
         assert result.outputs == oracle.output == [8]
 
 
+class _LineRecorder(Processor):
+    """Logs every renaming-request step with its park descriptor, and
+    each line install as (rid, cycle, the ``("line", word)`` waiters
+    parked on the requester just before it)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.steps = collections.defaultdict(list)
+        self.installs = []
+
+    def _step_request(self, req, now):
+        desc = super()._step_request(req, now)
+        self.steps[req.rid].append((now, desc))
+        return desc
+
+    def _install_line(self, req, now):
+        waiters = req.requester.req_waiters or {}
+        self.installs.append((req.rid, now, {
+            tag: set(rids) for tag, rids in waiters.items()
+            if isinstance(tag, tuple) and tag[0] == "line"}))
+        super()._install_line(req, now)
+
+
 class TestLineReplies:
     def _array_reader(self):
         return assemble("""
@@ -131,6 +160,113 @@ class TestLineReplies:
         cacher = proc.order[0]        # section that loaded t[0]
         cached = [base + i * WORD in cacher.maat for i in range(8)]
         assert all(cached)
+
+    def _return_path(self, kernel):
+        # Sections 1 and 2 spin (subq, not dec: dec reads the flags a
+        # predecessor writes) so that both are still live when section 3's
+        # load of t[0] misses in them; section 3 stores t[1] first.
+        prog = assemble("""
+        main:
+            movq $tab, %rdi
+            fork f
+            fork g
+            movq $99, %rax
+            movq %rax, 8(%rdi)
+            movq (%rdi), %rbx     # t[0]: walks sections 2 and 1 to the DMH
+            movq 8(%rdi), %rcx    # t[1]: the section's own store
+            out %rbx
+            out %rcx
+            endfork
+        f:
+            movq $80, %rcx
+        spin1:
+            subq $1, %rcx
+            jne spin1
+            endfork
+        g:
+            movq $20, %rcx
+        spin2:
+            subq $1, %rcx
+            jne spin2
+            endfork
+        .data
+        tab: .quad 10, 20, 30, 40, 50, 60, 70, 80
+        """)
+        result, proc = simulate(prog, SimConfig(n_cores=3, kernel=kernel))
+        assert result.outputs == [10, 99]
+        (req,) = [r for r in proc.requests if r.line_values]
+        assert [sec.sid for sec in req.visited] == [2, 1]
+        return req
+
+    @pytest.mark.parametrize("kernel", ["naive", "event"])
+    def test_return_path_shares_one_cell_per_word(self, kernel):
+        req = self._return_path(kernel)
+        own = (req.addr, req.addr + WORD)       # the requester's entries
+        for word, value in req.line_values:
+            cell = req.visited[0].maat[word]
+            assert cell.is_import and cell.value == value
+            assert req.visited[1].maat[word] is cell
+            if word not in own:
+                assert req.requester.maat[word] is cell
+
+    def test_holder_keeps_its_own_entry(self):
+        req = self._return_path("event")
+        mine = req.requester.maat
+        assert mine[req.addr] is req.dest_cell
+        store = mine[req.addr + WORD]
+        assert not store.is_import and store.value == 99
+        # the older sections read the DMH's t[1], not the younger store
+        assert req.visited[0].maat[req.addr + WORD].value == 20
+
+    @pytest.mark.parametrize("kernel", ["naive", "event"])
+    def test_resume_after_line_installs(self, kernel):
+        prog, regs, _ = sum_reduction(3)
+        config = sum_config(3, kernel=kernel)
+        cold, proc = simulate(prog, config, initial_regs=regs)
+        # the first install whose return path holds several sections
+        cycle = min(r.reply_cycle for r in proc.requests
+                    if r.line_values and r.visited)
+        snap = Snapshot.from_bytes(
+            capture_prefix(prog, cycle, config, initial_regs=regs)
+            .to_bytes())
+        installed = [r for r in snap.restore().requests
+                     if r.done and r.line_values and r.visited]
+        assert installed
+        for req in installed:
+            for word, _ in req.line_values:
+                holders = req.visited + ([] if word == req.addr
+                                         else [req.requester])
+                assert len({id(sec.maat[word]) for sec in holders}) == 1
+        warm, _ = resume(snap, program=prog, config=config)
+        for name in COMPARED_FIELDS:
+            assert getattr(warm, name) == getattr(cold, name), name
+
+    @pytest.mark.parametrize("kernel", ["naive", "event"])
+    def test_neighbour_coalesces_behind_inflight_line(self, kernel):
+        # A slow DMH keeps section 1's line import for t[0] in flight
+        # while section 2's request for t[2] reaches section 1.
+        proc = _LineRecorder(self._array_reader(),
+                             SimConfig(n_cores=2, kernel=kernel,
+                                       dmh_latency=20))
+        assert proc.run().outputs == [10, 30]
+        first, second = proc.requests
+        word = second.addr
+        (install,) = proc.installs
+        assert install[0] == first.rid
+        steps = proc.steps[second.rid]
+        coalesced = [now for now, desc in steps if desc is first.dest_cell]
+        assert coalesced and coalesced[-1] < install[1]
+        if kernel == "event":
+            # parked once on the line tag; the install is what woke it
+            assert len(coalesced) == 1
+            assert install[2] == {("line", word): {second.rid}}
+            assert first.requester.req_waiters is None
+        # its next step, in the install's cycle, hits the line cell there
+        assert [now for now, _ in steps if now > coalesced[-1]][0] == \
+            install[1]
+        assert second.producer_sid == first.requester.sid
+        assert second.hit_cell is first.requester.maat[word]
+        assert second.hit_cell.is_import and second.value == 30
 
     def test_word_grain_disables_neighbour_caching(self):
         _, proc = simulate(self._array_reader(),
