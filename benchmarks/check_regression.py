@@ -66,8 +66,7 @@ KERNEL_256_CORES = 256
 
 #: BENCH_*.json artifacts the gate checks (deterministic baselines)
 GATED_BASELINES = ("scheduler_fast_path", "workloads_on_sim",
-                   "kernel_256", "deps_bounds", "serve",
-                   "snapshot_warmstart")
+                   "kernel_256", "deps_bounds", "snapshot_warmstart")
 #: BENCH_*.json artifacts the gate deliberately ignores: these record
 #: *degradation* measurements (fault-injection sweeps, lint censuses)
 #: whose drift is an observation, not a regression — the invariants they
@@ -416,56 +415,6 @@ def check_deps_bounds(gate: Gate, update: bool) -> None:
                        % (short, cores, predicted, measured))
 
 
-#: deterministic fields of each BENCH_serve.json workload record (wall
-#: latencies are environment noise and deliberately not listed)
-SERVE_STATIC_FIELDS = ("key", "payload_sha", "n_cores")
-#: deterministic fields of the burst record
-SERVE_BURST_FIELDS = ("k_identical", "m_distinct", "executions",
-                      "coalesced", "jobs")
-
-
-def check_serve(gate: Gate, update: bool):
-    """Gate the serving layer: content addresses and payload digests
-    must match the committed baseline exactly (the daemon serves the
-    engine's bit-identical payloads or it is broken), and the
-    coalesced-burst accounting — executions run, submits coalesced —
-    must be the arithmetic the design promises, not a measurement.
-
-    Returns the fresh measurement dict (with wall latencies) so main()
-    can fold the serving latencies into the trajectory row."""
-    print("serve daemon (BENCH_serve.json):")
-    from bench_serve import run_serve_bench
-    baseline = _load("serve")
-    fresh = run_serve_bench()
-    if update:
-        _save("serve", fresh)
-        return fresh
-    base_by_name = {r["benchmark"]: r for r in baseline["workloads"]}
-    for record in fresh["workloads"]:
-        base = base_by_name.get(record["benchmark"])
-        if base is None:
-            gate.check(False, "%s: no baseline record"
-                       % record["benchmark"])
-            continue
-        for name in SERVE_STATIC_FIELDS:
-            gate.exact("serve %s %s" % (record["benchmark"], name),
-                       record[name], base.get(name))
-    for name in SERVE_BURST_FIELDS:
-        gate.exact("serve burst %s" % name,
-                   fresh["burst"][name], baseline["burst"].get(name))
-    # the structural invariant, asserted against the formula (not just
-    # the baseline): K identical + M distinct -> 1 + M executions on
-    # the burst keys, K-1 coalesced attaches
-    burst = fresh["burst"]
-    gate.check(burst["executions"] == 2 + burst["m_distinct"],
-               "serve burst executions %d == blocker + 1 + M (%d)"
-               % (burst["executions"], 2 + burst["m_distinct"]))
-    gate.check(burst["coalesced"] == burst["k_identical"] - 1,
-               "serve burst coalesced %d == K-1 (%d)"
-               % (burst["coalesced"], burst["k_identical"] - 1))
-    return fresh
-
-
 #: the cheap identity re-check behind the snapshot warm-start gate: one
 #: workload, a 2x2 fault grid (4 forked cells, each verified against its
 #: cold replay inside warmstart_sweep itself)
@@ -552,7 +501,6 @@ def main(argv=None) -> int:
     check_deps_bounds(gate, args.update)
     fast_path = check_fast_path(gate, args.tolerance, args.update)
     kernel_256 = check_kernel_256(gate, args.tolerance, args.update)
-    serve = check_serve(gate, args.update)
     check_snapshot_warmstart(gate, args.update)
     sweep_report = None
     if args.full and not args.update:
@@ -565,7 +513,7 @@ def main(argv=None) -> int:
         import trajectory
         row = trajectory.build_row(
             passed=not gate.failures, failures=gate.failures,
-            fast_path=fast_path, kernel_256=kernel_256, serve=serve,
+            fast_path=fast_path, kernel_256=kernel_256,
             sweep_report=sweep_report, tolerance=args.tolerance)
         path = trajectory.append_row(row)
         print("  [trajectory: row %d appended to %s]"

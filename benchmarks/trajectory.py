@@ -77,18 +77,18 @@ def build_row(passed: bool, failures: List[str],
               fast_path: Optional[Dict[str, Any]] = None,
               kernel_256: Optional[Dict[str, Any]] = None,
               sweep_report: Optional[Any] = None,
-              serve: Optional[Dict[str, Any]] = None,
               tolerance: Optional[float] = None,
               now: Optional[float] = None) -> Dict[str, Any]:
     """Fold one gate run's fresh measurements into a trajectory row.
 
-    *fast_path* / *kernel_256* / *serve* are the fresh dicts from
-    ``check_regression.run_fast_path`` / ``run_kernel_256`` /
-    ``bench_serve.run_serve_bench``; *sweep_report* is the ``--full``
-    sweep's BatchReport (or None when the sweep did not run).  Rows
-    written before the vector kernel's removal carry ``vector_*`` keys
-    and ``vector:``-prefixed cycles for the same 256-core subset, then
-    timed against the vector kernel; they stay as written.
+    *fast_path* / *kernel_256* are the fresh dicts from
+    ``check_regression.run_fast_path`` / ``run_kernel_256``;
+    *sweep_report* is the ``--full`` sweep's BatchReport (or None when
+    the sweep did not run).  Rows written before the vector kernel's
+    removal carry ``vector_*`` keys and ``vector:``-prefixed cycles for
+    the same 256-core subset, then timed against the vector kernel, and
+    rows written before the serving layer's removal carry a ``serve``
+    block of its latencies; they stay as written.
     """
     row: Dict[str, Any] = {
         "schema_version": TRAJECTORY_SCHEMA_VERSION,
@@ -117,19 +117,6 @@ def build_row(passed: bool, failures: List[str],
     if cycles:
         row["cycles"] = dict(sorted(cycles.items()))
         row["cycles_total"] = sum(cycles.values())
-    if serve is not None:
-        # serving-tier latencies are wall-clock observations (plotted,
-        # never gated); the burst accounting is deterministic
-        row["serve"] = {
-            "cold_ms": {r["benchmark"]: r["cold_ms"]
-                        for r in serve["workloads"]},
-            "lru_ms": {r["benchmark"]: r["lru_ms"]
-                       for r in serve["workloads"]},
-            "disk_ms": {r["benchmark"]: r["disk_ms"]
-                        for r in serve["workloads"]},
-            "burst_jobs_per_s": serve["burst"]["jobs_per_s"],
-            "burst_coalesced": serve["burst"]["coalesced"],
-        }
     if sweep_report is not None:
         stats = sweep_report.cache_stats or {}
         lookups = sum(stats.get(k, 0) for k in ("hits", "misses", "healed"))

@@ -72,8 +72,7 @@ _FALLBACK_VERSION = "1.0.0"
 def _detect_version() -> str:
     """Single-source the version from the installed package metadata
     (pyproject.toml), falling back to the pinned constant on a plain
-    source checkout.  ``repro --version`` and the serve daemon's
-    ``/healthz`` payload both report this value."""
+    source checkout.  ``repro --version`` reports this value."""
     try:
         from importlib.metadata import PackageNotFoundError, version
     except ImportError:                               # pragma: no cover

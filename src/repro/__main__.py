@@ -45,14 +45,6 @@ Commands:
                         processes, ``--cache-dir`` content-addressed
                         result cache, per-job failure isolation.  Exits
                         1 if any job failed.
-* ``serve``           — run the simulation-as-a-service daemon
-                        (``repro.serve``): an asyncio HTTP server that
-                        accepts batch job specs over POST /jobs,
-                        executes them in the worker pool with request
-                        coalescing, a two-level result cache (in-process
-                        LRU over ``--cache-dir``) and per-tenant
-                        token-bucket quotas, streams lifecycle events as
-                        NDJSON/SSE, and exposes Prometheus metrics.
 * ``chaos``           — sweep a (drop-rate x core-deaths) fault grid over
                         the workload suite (``repro.faults``); verifies
                         every faulted run still produces bit-identical
@@ -605,7 +597,11 @@ def cmd_batch(args) -> int:
     from .runner import jobs_from_spec, run_batch
     import os
     with open(args.spec) as handle:
-        spec = json.load(handle)
+        try:
+            spec = json.load(handle)
+        except ValueError as exc:
+            raise ReproError("%s: invalid JSON: %s" % (args.spec, exc)) \
+                from None
     jobs = jobs_from_spec(spec, base_dir=os.path.dirname(
         os.path.abspath(args.spec)))
 
@@ -630,22 +626,6 @@ def cmd_batch(args) -> int:
             print("error: job %s failed: %s"
                   % (outcome.job_id, outcome.error), file=sys.stderr)
     return 0 if report.ok else 1
-
-
-def cmd_serve(args) -> int:
-    from .serve import ServeConfig, serve_forever
-    config = ServeConfig(
-        host=args.host, port=args.port,
-        pool_size=max(1, args.jobs or 2),
-        queue_limit=args.queue_limit,
-        lru_capacity=args.lru_size, lru_shards=args.lru_shards,
-        cache_dir=(None if args.no_cache else args.cache_dir),
-        quota_rate=args.quota_rate, quota_burst=args.quota_burst,
-        max_body_bytes=args.max_body,
-        drain_timeout_s=args.drain_timeout,
-        allow_files=args.allow_files)
-    serve_forever(config)
-    return 0
 
 
 #: fast default subset for ``repro chaos`` without ``--workloads``
@@ -894,38 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "timings, cache counters, pool utilization) "
                             "after the summary")
     batch.set_defaults(func=cmd_batch)
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the simulation-as-a-service HTTP daemon (coalescing, "
-             "two-level cache, per-tenant quotas)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8321,
-                       help="listen port (0 = kernel-assigned)")
-    add_batch_options(serve)
-    serve.add_argument("--queue-limit", type=int, default=32,
-                       metavar="N",
-                       help="max queued jobs before submits get 429s")
-    serve.add_argument("--lru-size", type=int, default=256, metavar="N",
-                       help="in-process LRU capacity in entries "
-                            "(0 disables the hot tier)")
-    serve.add_argument("--lru-shards", type=int, default=8, metavar="N")
-    serve.add_argument("--quota-rate", type=float, default=16.0,
-                       metavar="R",
-                       help="per-tenant sustained jobs/second "
-                            "(0 = burst only)")
-    serve.add_argument("--quota-burst", type=float, default=64.0,
-                       metavar="B", help="per-tenant burst size in jobs")
-    serve.add_argument("--max-body", type=int, default=1_000_000,
-                       metavar="BYTES",
-                       help="largest accepted request body")
-    serve.add_argument("--drain-timeout", type=float, default=30.0,
-                       metavar="S",
-                       help="graceful-shutdown wait for running jobs")
-    serve.add_argument("--allow-files", action="store_true",
-                       help="permit 'file' job-spec entries (reads "
-                            "server-local paths; off by default)")
-    serve.set_defaults(func=cmd_serve)
 
     chaos = sub.add_parser(
         "chaos",

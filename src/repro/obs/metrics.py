@@ -23,8 +23,8 @@ never mix in one export:
 
 Exporters: :meth:`MetricsRegistry.to_json_dict` (stable JSON under
 :data:`METRICS_SCHEMA_VERSION`), :func:`render_prometheus` (text
-exposition for the future ``repro serve`` daemon), and the Chrome-trace
-counter tracks merged in :mod:`repro.obs.chrome_trace`.
+exposition, ``repro metrics --prom``), and the Chrome-trace counter
+tracks merged in :mod:`repro.obs.chrome_trace`.
 
 Design rule (package-wide): nothing here imports :mod:`repro.sim` at
 module level — the processor handed to :func:`derive_cycle_metrics` is
@@ -299,11 +299,11 @@ def render_prometheus(payload: Mapping[str, Any],
     """Render a registry JSON export as Prometheus text exposition.
 
     Operating on the JSON form (not live instruments) means anything that
-    can ship a metrics payload — a finished ``SimResult``, a batch
-    report, the future ``repro serve`` daemon — can expose it without
-    holding registry objects.  Series flatten to ``<name>_total`` plus a
-    ``<name>_last`` gauge of the final window (a scrape is a snapshot;
-    the full series belongs to the JSON export).
+    can ship a metrics payload — a finished ``SimResult`` or a batch
+    report — can expose it without holding registry objects.  Series
+    flatten to ``<name>_total`` plus a ``<name>_last`` gauge of the
+    final window (a scrape is a snapshot; the full series belongs to the
+    JSON export).
     """
     domain = str(payload.get("domain", ""))
     lines: List[str] = []

@@ -19,13 +19,11 @@ are served from cache byte-identically; see :mod:`repro.runner.job`.
 """
 
 from .cache import ResultCache
-from .engine import (BatchReport, JobOutcome, WorkerPool, execute_job,
-                     run_batch, run_batch_async)
+from .engine import BatchReport, JobOutcome, execute_job, run_batch
 from .job import Job, SCHEMA_VERSION
 from .spec import job_from_entry, jobs_from_spec
 
 __all__ = [
     "BatchReport", "Job", "JobOutcome", "ResultCache", "SCHEMA_VERSION",
-    "WorkerPool", "execute_job", "job_from_entry", "jobs_from_spec",
-    "run_batch", "run_batch_async",
+    "execute_job", "job_from_entry", "jobs_from_spec", "run_batch",
 ]

@@ -28,7 +28,7 @@ from typing import Any, Dict, Optional, Union
 from .job import SCHEMA_VERSION
 
 #: distinguishes temp files written by different handles in one process
-#: (two threads, or a handle per server) so concurrent same-key writers
+#: (two threads, each with its own handle) so concurrent same-key writers
 #: can never collide on the temp path even with equal pids
 _PUT_COUNTER = itertools.count()
 

@@ -29,9 +29,7 @@ to verify architectural identity without shipping full memory images.
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing
-import multiprocessing.pool
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -279,9 +277,8 @@ def _executed_outcome(job: Job, key: str, raw: WorkerResult,
                       start: float,
                       cache: Optional[ResultCache]) -> JobOutcome:
     """Fold one worker's wire result into a settled :class:`JobOutcome`
-    (writing successes back to *cache*) — shared by the synchronous
-    batch path and the awaitable one so both produce identical
-    outcomes."""
+    (writing successes back to *cache*) — shared by the serial and the
+    pooled path so both produce identical outcomes."""
     status, value, wall, phases, t_in, t_out = raw
     span = (max(0.0, t_in - start), max(0.0, t_out - start))
     if status == OK:
@@ -291,152 +288,6 @@ def _executed_outcome(job: Job, key: str, raw: WorkerResult,
                           phases=phases, span=span)
     return JobOutcome(job.job_id, key, FAILED, wall, error=value,
                       phases=phases or None, span=span)
-
-
-def _future_settle(future: "asyncio.Future[WorkerResult]",
-                   result: Optional[WorkerResult],
-                   exc: Optional[BaseException]) -> None:
-    """Resolve *future* from the pool's result-handler thread callback
-    (already marshalled onto the loop via ``call_soon_threadsafe``)."""
-    if future.cancelled():
-        return
-    if exc is not None:
-        future.set_exception(exc)
-    else:
-        assert result is not None
-        future.set_result(result)
-
-
-class WorkerPool:
-    """A persistent worker-process pool with an awaitable per-job entry
-    point.
-
-    :func:`run_batch` spins a pool up and down per call, which is right
-    for one-shot sweeps but wrong for a long-lived server: the serve
-    daemon (:mod:`repro.serve`) needs a pool that outlives any single
-    request and can interleave jobs from many clients without blocking
-    the event loop.  Jobs execute through the same :func:`_pool_worker`
-    the batch engine uses, so daemon-served payloads are bit-identical
-    to ``repro batch`` output — the property the daemon-vs-engine
-    differential test pins down.
-
-    ``run_job`` is safe to call concurrently from one event loop; the
-    pool's internal result-handler thread marshals completions back onto
-    the loop with ``call_soon_threadsafe``.
-    """
-
-    def __init__(self, pool_size: Optional[int] = None) -> None:
-        self.pool_size = max(1, pool_size or 1)
-        self._pool: multiprocessing.pool.Pool = \
-            _pool_context().Pool(self.pool_size)
-        self._closed = False
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    async def run_job(self, job: Job) -> WorkerResult:
-        """Execute *job* in a worker process; awaitable and off-loop.
-
-        Returns the raw :data:`WorkerResult` wire tuple — failures are
-        carried in-band as ``("failed", error_text, ...)`` exactly like
-        the batch path, so callers get the engine's failure-isolation
-        contract for free.  Raises only on infrastructure errors (a job
-        that cannot be pickled, a closed pool).
-        """
-        if self._closed:
-            raise RuntimeError("worker pool is closed")
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[WorkerResult]" = loop.create_future()
-        self._pool.apply_async(
-            _pool_worker, (job.to_wire(),),
-            callback=lambda raw: loop.call_soon_threadsafe(
-                _future_settle, future, raw, None),
-            error_callback=lambda exc: loop.call_soon_threadsafe(
-                _future_settle, future, None, exc))
-        return await future
-
-    def close(self) -> None:
-        """Stop accepting work and reap the workers (idempotent)."""
-        if not self._closed:
-            self._closed = True
-            self._pool.close()
-            self._pool.join()
-
-    def terminate(self) -> None:
-        """Kill the workers without draining (shutdown fast path)."""
-        if not self._closed:
-            self._closed = True
-            self._pool.terminate()
-            self._pool.join()
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-async def run_batch_async(jobs: Sequence[Job],
-                          pool: Optional[WorkerPool] = None,
-                          pool_size: Optional[int] = None,
-                          cache: Optional[ResultCache] = None,
-                          on_outcome: Optional[
-                              Callable[[JobOutcome], None]] = None,
-                          ) -> BatchReport:
-    """Awaitable :func:`run_batch`: identical outcome semantics, but
-    execution happens on a persistent :class:`WorkerPool` so an event
-    loop (the serve daemon) can interleave batches with other work.
-
-    Pass a shared *pool* to reuse a long-lived daemon pool, or omit it
-    to spin a private one sized *pool_size* for this call.  Cache hits
-    settle first (in job order), then executions settle as they finish;
-    the report is ordered by job exactly like the synchronous path.
-    """
-    start = time.perf_counter()
-    own_pool = pool is None
-    if pool is None:
-        pool = WorkerPool(pool_size)
-    report = BatchReport(pool_size=pool.pool_size,
-                         cache_dir=str(cache.root) if cache else None)
-    cache_before = dict(cache.stats) if cache is not None else None
-    outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
-
-    def settle(index: int, outcome: JobOutcome) -> None:
-        outcomes[index] = outcome
-        if on_outcome is not None:
-            on_outcome(outcome)
-
-    pending: List[Tuple[int, Job, str]] = []
-    for index, job in enumerate(jobs):
-        key = job.key()
-        hit = cache.get(key) if cache is not None else None
-        if hit is not None:
-            settle(index, JobOutcome(job.job_id, key, CACHED, 0.0,
-                                     payload=hit))
-        else:
-            pending.append((index, job, key))
-
-    try:
-        if pending:
-            raws = await asyncio.gather(
-                *(pool.run_job(job) for _, job, _ in pending))
-            for (index, job, key), raw in zip(pending, raws):
-                settle(index, _executed_outcome(job, key, raw, start,
-                                                cache))
-    finally:
-        if own_pool:
-            pool.close()
-
-    report.outcomes = [o for o in outcomes if o is not None]
-    report.wall_s = time.perf_counter() - start
-    if cache is not None and cache_before is not None:
-        report.cache_stats = {name: cache.stats[name] - cache_before[name]
-                              for name in cache.stats}
-    report.host_metrics = build_host_metrics(
-        report.outcomes, report.pool_size, report.wall_s,
-        report.cache_stats)
-    return report
 
 
 def run_batch(jobs: Sequence[Job], pool_size: Optional[int] = None,

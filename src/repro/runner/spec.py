@@ -23,7 +23,11 @@ MiniC compiles in fork mode by default (``"fork": false`` opts out,
 ``"fork_loops": true`` adds loop forking), matching ``repro simulate``.
 ``config`` is a :meth:`repro.sim.SimConfig.from_dict` dict, merged over
 ``defaults.config`` key by key; ``include_memory`` / ``include_trace`` /
-``include_events`` shape the payload.  Unknown entry keys are rejected.
+``include_events`` shape the payload.  Unknown keys and mistyped values
+(a spec that is not an object or list, a non-object ``config``, a
+non-integer ``scale``, an unreadable ``file``) are rejected with a
+:class:`~repro.errors.ReproError` naming the job's index, so a bad spec
+runs nothing.
 """
 
 from __future__ import annotations
@@ -44,6 +48,16 @@ _DEFAULT_KEYS = frozenset({"config", "include_memory", "include_trace",
                            "include_events", "fork", "fork_loops"})
 
 
+def _int_field(entry: Dict[str, Any], name: str, default: int) -> int:
+    """*entry*'s *name* as an int, or a ReproError naming the key."""
+    value = entry.get(name, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ReproError("%s must be an integer, got %r"
+                         % (name, value)) from None
+
+
 def _entry_program(entry: Dict[str, Any], base_dir: Path) -> Any:
     """Resolve the entry's program source to an assembled Program."""
     from ..fork import fork_transform
@@ -58,18 +72,27 @@ def _entry_program(entry: Dict[str, Any], base_dir: Path) -> Any:
             workload = get_workload(str(entry["workload"]))
         except KeyError as exc:
             raise ReproError(str(exc.args[0])) from None
-        inst = workload.instance(scale=int(entry.get("scale", 0)),
-                                 seed=int(entry.get("seed", 1)),
-                                 n=entry.get("n"))
+        n = entry.get("n")
+        inst = workload.instance(scale=_int_field(entry, "scale", 0),
+                                 seed=_int_field(entry, "seed", 1),
+                                 n=None if n is None
+                                 else _int_field(entry, "n", 0))
         program = inst.program
         if entry.get("transform", True):
             program = fork_transform(program)
         return program
     if "file" in entry:
+        if not isinstance(entry["file"], str):
+            raise ReproError("file must be a path string, got %r"
+                             % (entry["file"],))
         path = Path(entry["file"])
         if not path.is_absolute():
             path = base_dir / path
-        source = path.read_text()
+        try:
+            source = path.read_text()
+        except OSError as exc:
+            raise ReproError("cannot read %s: %s"
+                             % (path, exc.strerror or exc)) from None
         if str(path).endswith(".c"):
             return compile_source(source, fork_mode=fork,
                                   fork_loops=fork_loops)
@@ -97,11 +120,14 @@ def job_from_entry(entry: Dict[str, Any],
             % ("/".join(_PROGRAM_KEYS), ", ".join(sources) or "none"))
     merged = dict(defaults)
     merged.update(entry)
-    config_dict: Dict[str, Any] = dict(defaults.get("config") or {})
-    config_dict.update(entry.get("config") or {})
+    config_dict: Dict[str, Any] = {}
+    for layer in (defaults.get("config"), entry.get("config")):
+        if layer is not None and not isinstance(layer, dict):
+            raise ReproError("config must be an object, got %r" % (layer,))
+        config_dict.update(layer or {})
     try:
         config = SimConfig.from_dict(config_dict)
-    except ValueError as exc:       # a bad knob value, e.g. a removed kernel
+    except (TypeError, ValueError) as exc:   # a bad knob value or type
         raise ReproError("invalid config: %s" % exc) from None
     program = _entry_program(merged, Path(base_dir))
     return Job.from_program(
@@ -121,12 +147,21 @@ def jobs_from_spec(spec: Union[Dict[str, Any], Sequence[Any]],
         if unknown:
             raise ReproError("unknown spec keys: %s" % ", ".join(unknown))
         defaults = spec.get("defaults") or {}
+        if not isinstance(defaults, dict):
+            raise ReproError("spec defaults must be an object, got %r"
+                             % (defaults,))
         bad = sorted(set(defaults) - _DEFAULT_KEYS)
         if bad:
             raise ReproError("unknown defaults keys: %s" % ", ".join(bad))
         entries = spec.get("jobs")
-    else:
+        if entries is not None and not isinstance(entries, (list, tuple)):
+            raise ReproError("spec jobs must be a list, got %r"
+                             % (entries,))
+    elif isinstance(spec, (list, tuple)):
         entries = list(spec)
+    else:
+        raise ReproError("job spec must be an object or a list, got %r"
+                         % (spec,))
     if not entries:
         raise ReproError("job spec lists no jobs")
     jobs = []

@@ -35,6 +35,19 @@ class TestCacheBasics:
         path = cache.put("ef" * 32, {})
         assert path == tmp_path / "ef" / ("ef" * 32 + ".json")
 
+    def test_entry_survives_a_fresh_handle(self, tmp_path):
+        ResultCache(tmp_path).put("ab" * 32, {"cycles": 3})
+        reopened = ResultCache(tmp_path)
+        assert reopened.get("ab" * 32) == {"cycles": 3}
+        assert reopened.stats == {"hits": 1, "misses": 0, "healed": 0}
+
+    def test_put_replaces_entry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("ab" * 32, {"cycles": 3})
+        cache.put("ab" * 32, {"cycles": 4})
+        assert cache.get("ab" * 32) == {"cycles": 4}
+        assert len(cache) == 1
+
     def test_no_temp_litter(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("ab" * 32, {"cycles": 3})
@@ -123,6 +136,17 @@ class TestBlobTier:
         cache.blob_path(key).write_bytes(b"tampered")
         assert cache.get_blob(key) is None
         assert cache.blob_stats["healed"] == 1
+
+    def test_blob_survives_a_fresh_handle(self, tmp_path):
+        key = ResultCache(tmp_path).put_blob(b"snapshot bytes")
+        assert ResultCache(tmp_path).get_blob(key) == b"snapshot bytes"
+
+    def test_blobs_are_not_job_entries(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put_blob(b"blob")
+        assert len(cache) == 0
+        cache.put("ab" * 32, {"cycles": 3})
+        assert len(cache) == 1
 
     def test_blob_traffic_never_touches_job_stats(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -491,14 +491,6 @@ class TestVersion:
         assert match, "pyproject.toml version missing"
         assert repro.__version__ == match.group(1)
 
-    def test_serve_healthz_reports_same_version(self):
-        import repro
-        from repro.serve import ServeConfig, SimServer
-
-        health = SimServer(ServeConfig()).healthz()
-        assert health["version"] == repro.__version__
-        assert health["status"] == "ok"
-
 
 class TestSnapshotCLI:
     """--checkpoint / --snapshot-dir / --resume-from / trace --seek /
