@@ -12,15 +12,13 @@ gain fetch parallelism from distribution; the greedy-sequential ones
 split dynamically.
 """
 
-import time
-
 from _common import BENCH_SCALE, emit, emit_json, run_sim_batch, table
 
 from repro.fork import fork_transform
 from repro.machine import run_forked
 from repro.runner import Job
-from repro.sim import SimConfig, simulate
-from repro.workloads import WORKLOADS, get_workload
+from repro.sim import SimConfig
+from repro.workloads import WORKLOADS
 
 
 def _sweep():
@@ -87,62 +85,3 @@ def bench_workloads_on_sim(benchmark):
     assert all(s >= 0.95 for s in speedups.values())
     assert sum(1 for s in speedups.values() if s > 1.3) >= 4
 
-
-# -- scheduler fast path ------------------------------------------------------
-
-#: workloads timed for the naive-vs-event wall-clock comparison
-_FAST_PATH_CASES = [("quicksort", 12), ("dictionary", 12), ("bfs", 8)]
-
-
-def _time_modes():
-    walls = {"naive": 0.0, "event": 0.0}
-    records = []
-    for short, n in _FAST_PATH_CASES:
-        inst = get_workload(short).instance(n=n + 2 * BENCH_SCALE, seed=1)
-        prog = fork_transform(inst.program)
-        entry = {"benchmark": short, "n": inst.n}
-        results = {}
-        for mode in ("naive", "event"):
-            config = SimConfig(n_cores=64, stack_shortcut=True,
-                               kernel=mode)
-            start = time.perf_counter()
-            result, _ = simulate(prog, config)
-            wall = time.perf_counter() - start
-            walls[mode] += wall
-            results[mode] = result
-            entry["wall_%s_s" % mode] = wall
-            entry["cycles"] = result.cycles
-        # the fast path buys wall time, never simulated behaviour
-        assert results["naive"].cycles == results["event"].cycles
-        assert results["naive"].outputs == results["event"].outputs
-        assert results["naive"].requests == results["event"].requests
-        entry["speedup"] = entry["wall_naive_s"] / entry["wall_event_s"]
-        records.append(entry)
-    return walls, records
-
-
-def bench_scheduler_fast_path(benchmark):
-    """Wall-clock cost of naive vs event-driven scheduling at 64 cores.
-
-    The naive loop steps all 64 cores every cycle even though most host no
-    work; the event-driven loop parks them, so its wall time tracks useful
-    work.  Results stay bit-identical (asserted per workload)."""
-    walls, records = benchmark.pedantic(_time_modes, rounds=1, iterations=1)
-    aggregate = walls["naive"] / walls["event"]
-    rows = [[r["benchmark"], r["n"], r["cycles"],
-             "%.3f" % r["wall_naive_s"], "%.3f" % r["wall_event_s"],
-             "%.2fx" % r["speedup"]] for r in records]
-    rows.append(["TOTAL", "", "", "%.3f" % walls["naive"],
-                 "%.3f" % walls["event"], "%.2fx" % aggregate])
-    emit("scheduler_fast_path", table(
-        "Event-driven scheduler fast path — wall clock at 64 cores",
-        ["benchmark", "n", "cycles", "naive (s)", "event (s)", "speedup"],
-        rows))
-    emit_json("scheduler_fast_path", {
-        "n_cores": 64, "scale": BENCH_SCALE, "workloads": records,
-        "wall_naive_s": walls["naive"], "wall_event_s": walls["event"],
-        "aggregate_speedup": aggregate,
-    })
-    assert aggregate >= 2.0, (
-        "event-driven fast path speedup %.2fx below the 2x floor"
-        % aggregate)

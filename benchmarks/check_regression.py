@@ -52,8 +52,7 @@ from repro.fork import fork_transform                      # noqa: E402
 from repro.sim import SimConfig, simulate                  # noqa: E402
 from repro.workloads import WORKLOADS, get_workload        # noqa: E402
 
-#: the fast-path timing matrix (must mirror bench_workloads_on_sim.py at
-#: REPRO_BENCH_SCALE=0)
+#: the fast-path timing matrix behind BENCH_scheduler_fast_path.json
 FAST_PATH_CASES = [("quicksort", 12), ("dictionary", 12), ("bfs", 8)]
 
 #: subset of the Table 1 suite the 256-core gate re-times (the full suite

@@ -203,7 +203,10 @@ class FaultPlan:
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
         """Inverse of :meth:`to_dict`; rejects unknown keys so a stale or
         hand-edited payload fails loudly instead of silently dropping a
-        fault axis."""
+        fault axis, and a payload (or a ``deaths``/``spikes`` entry) that
+        is not an object, naming the field."""
+        if not isinstance(data, dict):
+            raise ReproError("faults must be an object, got %r" % (data,))
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -215,8 +218,15 @@ class FaultPlan:
                 int(c) for c in kwargs["jitter_cores"])
         for name, build in (("deaths", CoreDeath), ("spikes", LinkSpike)):
             if name in kwargs:
+                if not isinstance(kwargs[name], (list, tuple)):
+                    raise ReproError("faults %s must be a list, got %r"
+                                     % (name, kwargs[name]))
                 entries = []
                 for entry in kwargs[name]:
+                    if not isinstance(entry, dict):
+                        raise ReproError(
+                            "faults %s entries must be objects, got %r"
+                            % (name, entry))
                     field_names = {f.name for f in fields(build)}
                     bad = sorted(set(entry) - field_names)
                     if bad:

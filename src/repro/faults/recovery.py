@@ -125,9 +125,6 @@ class FaultEngine:
             return base
         stats = self.stats
         tracer = self.proc.tracer
-        # cycle-domain metrics log (repro.obs.metrics) — duck-typed via
-        # getattr so this module keeps its no-sim-import rule
-        metrics_log = getattr(self.proc, "metrics_faults", None)
         delay = 0
         attempt = 0
         while (attempt < plan.max_resends
@@ -136,9 +133,6 @@ class FaultEngine:
             stats.drops += 1
             stats.retries += 1
             stats.backoff_cycles += wait
-            if metrics_log is not None:
-                metrics_log.append((now + delay, "drop", src, dst))
-                metrics_log.append((now + delay + wait, "retry", src, dst))
             if tracer is not None:
                 tracer.emit(now + delay, "fault_injected", fault="drop",
                             rid=rid, src=src, dst=dst, attempt=attempt)
@@ -221,9 +215,6 @@ class FaultEngine:
         target.hosted.append(sec)
         target.open_secs.append(sec)
         self.stats.redispatches += 1
-        metrics_log = getattr(self.proc, "metrics_faults", None)
-        if metrics_log is not None:
-            metrics_log.append((now, "redispatch", dead_core.id, target.id))
         if self.proc.tracer is not None:
             self.proc.tracer.emit(now, "section_redispatch", sid=sec.sid,
                                   src=dead_core.id, dst=target.id,

@@ -4,8 +4,10 @@ Three layers, all built on one structured event stream:
 
 * **event tracing** (:mod:`repro.obs.events`) — typed records (section
   fork/start/complete, renaming request issue/hop/hit/fill, NoC
-  send/deliver, DMH reads, core park/wake, retirement) collected by the
-  simulator when :attr:`repro.sim.SimConfig.events` is on.  Near-zero
+  send/deliver, DMH reads, faults, core park/wake, retirement)
+  collected by the simulator when :attr:`repro.sim.SimConfig.events` is
+  on, and for the metrics fold alone when ``metrics_window`` is set.
+  Near-zero
   overhead when off: every instrumentation point is a single
   ``tracer is None`` test.  Both scheduler modes emit bit-identical
   streams (tests/sim/test_differential.py).

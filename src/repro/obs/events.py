@@ -61,11 +61,16 @@ Event = Tuple[int, str, Dict[str, Any]]
 
 
 class EventTrace:
-    """Append-only event collector owned by a :class:`~repro.sim.Processor`.
+    """Append-only event collector owned by a :class:`~repro.sim.Processor`
+    — the kernel's one observation channel besides its always-on
+    counters.
 
-    The simulator holds ``tracer = None`` when tracing is off, so the
-    per-emission cost in the disabled (default) configuration is a single
-    attribute load and ``is None`` test at each instrumentation point.
+    The processor creates one when ``SimConfig.events`` is on (the
+    stream becomes ``SimResult.events``) or ``SimConfig.metrics_window``
+    is set (the windowed metrics fold it); otherwise it holds ``tracer =
+    None``, so the per-emission cost in the default configuration is a
+    single attribute load and ``is None`` test at each instrumentation
+    point.
     """
 
     __slots__ = ("events",)

@@ -7,9 +7,9 @@ never mix in one export:
 * **cycle domain** (``domain="cycle"``) — derived *deterministically*
   from a finished simulation.  :func:`derive_cycle_metrics` folds the
   run's bit-identical artifacts (per-instruction stage timings, the
-  per-cycle core-state timeline, section/request lifecycles, the
-  per-link transfer log, the fault engine's drop/retry log) into
-  windowed series sampled every ``SimConfig.metrics_window`` cycles.
+  per-cycle core-state timeline, section/request lifecycles, and the
+  event stream's NoC, DMH and fault events) into windowed series
+  sampled every ``SimConfig.metrics_window`` cycles.
   Because every input is proven identical across the naive and event
   kernels (``tests/sim/test_differential.py``), the derived series are
   bit-identical too — metrics are *post-hoc accounting*, never live
@@ -418,11 +418,15 @@ def derive_cycle_metrics(proc: Any, window: int) -> Dict[str, Any]:
 
     Every input is part of the two-kernel bit-identity contract:
     instruction stage timings, section/request lifecycles, the per-cycle
-    core-state timeline (``trace_states``), the per-link transfer log
-    (``Processor.metrics_hops``) and the fault engine's drop/retry/
-    redispatch log (``Processor.metrics_faults``).  All series are
-    integer counts per window (floats appear only in ``retire_rate``,
-    computed from those integers), so "bit-identical" is exact.
+    core-state timeline (``trace_states``) and the processor's event
+    stream (``proc.tracer.events``, recorded whenever ``metrics_window``
+    is set): link traffic from ``noc_send`` and ``request_dmh``, drops
+    from ``fault_injected(fault="drop")``, retries from ``msg_retry``
+    and redispatches from ``section_redispatch``.  A DMH reply is busy
+    from the read to its ``arrive`` cycle, at least one cycle.  All
+    series are integer counts per window (floats appear only in
+    ``retire_rate``, computed from those integers), so "bit-identical"
+    is exact.
     """
     cycles = int(proc.cycle)
     n = window_count(cycles, window)
@@ -482,8 +486,9 @@ def derive_cycle_metrics(proc: Any, window: int) -> Dict[str, Any]:
                          or [0] * n
                          for state in range(4)]
 
-    # per-link NoC utilization from the transfer log (one entry per
-    # record_transfer call, plus the DMH port replies)
+    # per-link NoC utilization: one message per noc_send, plus the DMH
+    # port replies (request_dmh, busy until the reply arrives: at least
+    # one cycle, since even a zero-delay reply lands the next cycle)
     links: Dict[str, Dict[str, List[int]]] = {}
 
     def link_entry(src: int, dst: int) -> Dict[str, List[int]]:
@@ -498,30 +503,33 @@ def derive_cycle_metrics(proc: Any, window: int) -> Dict[str, Any]:
     noc_messages = [0] * n
     noc_busy = [0] * n
     dmh_reads = [0] * n
-    for cycle, src, dst, latency in (proc.metrics_hops or ()):
-        entry = link_entry(src, dst)
-        w = bucket(cycle)
-        entry["messages"][w] += 1
-        entry["busy_cycles"][w] += latency
-        if src < 0:
-            dmh_reads[w] += 1
-        else:
-            noc_messages[w] += 1
-            noc_busy[w] += latency
-
     drops = [0] * n
     retries = [0] * n
     redispatches = [0] * n
-    for cycle, kind, src, dst in (proc.metrics_faults or ()):
-        w = bucket(cycle)
-        if kind == "drop":
+    for cycle, kind, f in proc.tracer.events:
+        if kind == "noc_send":
+            w = bucket(cycle)
+            entry = link_entry(f["src"], f["dst"])
+            entry["messages"][w] += 1
+            entry["busy_cycles"][w] += f["latency"]
+            noc_messages[w] += 1
+            noc_busy[w] += f["latency"]
+        elif kind == "request_dmh":
+            w = bucket(cycle)
+            entry = link_entry(-1, f["core"])
+            entry["messages"][w] += 1
+            entry["busy_cycles"][w] += f["arrive"] - cycle
+            dmh_reads[w] += 1
+        elif kind == "fault_injected" and f["fault"] == "drop":
+            w = bucket(cycle)
             drops[w] += 1
-            link_entry(src, dst)["drops"][w] += 1
-        elif kind == "retry":
+            link_entry(f["src"], f["dst"])["drops"][w] += 1
+        elif kind == "msg_retry":
+            w = bucket(cycle)
             retries[w] += 1
-            link_entry(src, dst)["retries"][w] += 1
-        elif kind == "redispatch":
-            redispatches[w] += 1
+            link_entry(f["src"], f["dst"])["retries"][w] += 1
+        elif kind == "section_redispatch":
+            redispatches[bucket(cycle)] += 1
 
     retire_rate = [retired[w] / lengths[w] if lengths[w] else 0.0
                    for w in range(n)]

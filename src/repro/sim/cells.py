@@ -14,7 +14,7 @@ IQ/LSQ, stalled fetch stages, remote renaming requests) simply wait until
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -122,10 +122,8 @@ class DynInstr:
         "instr", "section", "index", "timing",
         "src_cells", "dest_cells", "computed_at_fetch",
         "is_load", "is_store", "addr_src_cells", "addr_value",
-        "store_value_cell", "load_src_cell", "mem_dest_cell",
-        "mem_renamed", "mem_done", "executed", "control_resolved",
-        "out_value", "retired",
-        "missing_srcs", "addr_regs", "in_iq", "in_lsq",
+        "load_src_cell", "mem_dest_cell", "mem_done", "executed",
+        "control_resolved", "missing_srcs", "addr_regs",
     )
 
     def __init__(self, instr: Instruction, section: "SectionState",
@@ -145,21 +143,15 @@ class DynInstr:
         #: cells needed to form the effective address
         self.addr_src_cells: Dict[str, Cell] = {}
         self.addr_value: Optional[int] = None   #: set by ew
-        self.store_value_cell: Optional[Cell] = None
         self.load_src_cell: Optional[Cell] = None   #: renamed memory source
         self.mem_dest_cell: Optional[Cell] = None   #: renamed memory dest
-        self.mem_renamed = False
         self.mem_done = not (self.is_load or self.is_store)
         self.executed = False
         self.control_resolved = not meta.is_control
-        self.out_value: Optional[int] = None
-        self.retired = False
         #: registers whose fetch binding was empty, to resolve at rename
         self.missing_srcs: List[str] = []
         #: registers needed to form the effective address
         self.addr_regs: Tuple[str, ...] = ()
-        self.in_iq = False
-        self.in_lsq = False
 
     @property
     def tag(self) -> str:

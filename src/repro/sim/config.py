@@ -66,17 +66,16 @@ class SimConfig:
     #: blocked / parked) into ``SimResult.trace``; opt-in because a run of
     #: C cycles on N cores stores C*N state codes
     trace: bool = False
-    #: collect per-core and per-section occupancy histograms (cheap:
-    #: per-core counters plus bulk accounting over parked spans)
-    collect_occupancy: bool = True
-    #: structured event tracing (:mod:`repro.obs`): record typed events
-    #: (section fork/start/complete, renaming request issue/hop/fill, NoC
-    #: send/deliver, DMH reads, retirement, core park/wake) into
-    #: ``SimResult.events`` and fold the stall-cause attribution into
-    #: ``SimResult.stall_causes``.  Implies occupancy + per-cycle state
-    #: collection; near-zero overhead when off (every instrumentation
-    #: point is one ``tracer is None`` test).  Both scheduler modes emit
-    #: identical streams.
+    #: structured event tracing (:mod:`repro.obs`): hand the typed event
+    #: stream (section fork/start/complete, renaming request
+    #: issue/hop/fill, NoC send/deliver, DMH reads, faults, retirement,
+    #: core park/wake) out as ``SimResult.events`` and fold the
+    #: stall-cause attribution into ``SimResult.stall_causes``.  Implies
+    #: the per-cycle core-state timeline.  A run with ``metrics_window``
+    #: set records the stream too, for the metrics only: without
+    #: ``events`` both result fields stay None.  Near-zero overhead when
+    #: neither is set (every instrumentation point is one ``tracer is
+    #: None`` test).  Both scheduler modes emit identical streams.
     events: bool = False
     #: simulation budget; exceeding it raises (deadlock guard)
     max_cycles: int = 2_000_000
@@ -101,8 +100,9 @@ class SimConfig:
     #: time-series (retire rate, running/parked cores, fork/redispatch
     #: rates, request-queue depth, per-link NoC traffic and drop/retry
     #: counts) into ``SimResult.metrics``, one sample window every this
-    #: many cycles.  Derived post-hoc from bit-identical run artifacts,
-    #: so both kernels emit identical series.  None — the default —
+    #: many cycles.  Derived post-hoc from bit-identical run artifacts
+    #: (the event stream among them, recorded for the purpose), so both
+    #: kernels emit identical series.  None — the default —
     #: disables collection and keeps every existing output (goldens,
     #: cache keys, BENCH cycles) byte-identical.
     metrics_window: Optional[int] = None
@@ -167,7 +167,8 @@ class SimConfig:
         this dict) byte-identical.  A *set* value is emitted, and should
         be: metrics and checkpoints ride inside payloads, and an
         optimized run commits different cycle counts, so the key must
-        fork.
+        fork.  ``collect_occupancy`` is no field but is always emitted as
+        true, for the same keys: it names a retired knob.
         """
         payload: Dict[str, Any] = {}
         for spec in fields(self):
@@ -181,6 +182,10 @@ class SimConfig:
                 value = list(value)     # tuples are not JSON-native
             payload[spec.name] = (value.to_dict()
                                   if isinstance(value, FaultPlan) else value)
+            if spec.name == "trace":
+                # a retired knob: occupancy is always collected, and the
+                # constant keeps every pre-existing cache key identical
+                payload["collect_occupancy"] = True
         return payload
 
     @classmethod
@@ -188,14 +193,19 @@ class SimConfig:
         """Inverse of :meth:`to_dict`: rejects unknown keys, rebuilds the
         nested :class:`~repro.faults.models.FaultPlan`, and re-runs full
         validation via ``__init__``.  ``event_driven`` is derived, so it
-        is accepted only when it agrees with ``kernel``."""
-        known = {spec.name for spec in fields(cls)}
+        is accepted only when it agrees with ``kernel``;
+        ``collect_occupancy`` is a constant, accepted only as true."""
+        known = {spec.name for spec in fields(cls)} | {"collect_occupancy"}
         unknown = sorted(set(data) - known)
         if unknown:
             raise SimulationError("unknown SimConfig keys: %s"
                                   % ", ".join(unknown))
         kwargs: Dict[str, Any] = dict(data)
         event_driven = kwargs.pop("event_driven", None)
+        if kwargs.pop("collect_occupancy", True) is not True:
+            raise SimulationError(
+                "collect_occupancy must be true: occupancy is always "
+                "collected")
         if kwargs.get("faults") is not None:
             kwargs["faults"] = FaultPlan.from_dict(kwargs["faults"])
         config = cls(**kwargs)

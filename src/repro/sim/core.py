@@ -16,7 +16,7 @@ its example), a stalled fetch yields to another runnable hosted section.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -68,8 +68,6 @@ class Core:
         # statistics
         self.fetched = 0
         self.fetch_computed = 0
-        self.executed = 0
-        self.retired = 0
         #: fail-stopped by a fault plan: permanently skipped by both run
         #: loops and immune to wakes (repro.faults)
         self.dead = False
@@ -98,18 +96,17 @@ class Core:
         self._execute(now)
         self._rename(now)
         self._fetch(now)
-        if self.proc.occupancy_on:
-            if self.fetched > fetched_before:
-                state = FETCHING
-            elif self.did_work:
-                state = COMPUTING
-            elif self._has_any_work():
-                state = BLOCKED
-            else:
-                state = PARKED
-            self.occ[state] += 1
-            if self.trace_states is not None:
-                self.trace_states.append(state)
+        if self.fetched > fetched_before:
+            state = FETCHING
+        elif self.did_work:
+            state = COMPUTING
+        elif self._has_any_work():
+            state = BLOCKED
+        else:
+            state = PARKED
+        self.occ[state] += 1
+        if self.trace_states is not None:
+            self.trace_states.append(state)
 
     # ------------------------------------------------------------------
     # event-driven scheduling: park / wake
@@ -218,7 +215,7 @@ class Core:
         self._span_start = None
         blocked_from = self._blocked_from
         self._blocked_from = None
-        if end < start or not self.proc.occupancy_on:
+        if end < start:
             return
         n = end - start + 1
         if self._span_has_work:
@@ -311,7 +308,6 @@ class Core:
                 self.proc.section_event(sec)
         elif kind == "hlt":
             sec.fetch_done = True
-            sec.ends_program = True
             dyn.computed_at_fetch = True
             dyn.control_resolved = True
             next_ip = None
@@ -434,11 +430,9 @@ class Core:
             self.proc.section_event(sec)
         if dyn.is_load or dyn.is_store:
             sec.arq.append(dyn)
-            dyn.in_iq = True
             self.iq.append(dyn)
             self._iq_dirty = True
         elif not dyn.computed_at_fetch:
-            dyn.in_iq = True
             self.iq.append(dyn)
             self._iq_dirty = True
 
@@ -473,14 +467,12 @@ class Core:
             done.append(dyn)
             budget -= 1
         for dyn in done:
-            dyn.in_iq = False
             self.iq.remove(dyn)
 
     def _execute_one(self, dyn: DynInstr, now: int) -> None:
         sec = dyn.section
         instr = dyn.instr
         dyn.timing.ew = now
-        self.executed += 1
         self.did_work = True
         if dyn.is_load or dyn.is_store:
             old_rsp = None
@@ -563,8 +555,6 @@ class Core:
             sec.maat[addr] = new_cell
             dyn.mem_dest_cell = new_cell
             sec.stores_pending -= 1
-        dyn.mem_renamed = True
-        dyn.in_lsq = True
         self.lsq.append(dyn)
         self._lsq_dirty = True
         if sec.req_waiters is not None:
@@ -599,7 +589,6 @@ class Core:
             done.append(dyn)
             budget -= 1
         for dyn in done:
-            dyn.in_lsq = False
             self.lsq.remove(dyn)
 
     def _memory_one(self, dyn: DynInstr, now: int) -> None:
@@ -624,7 +613,6 @@ class Core:
             target = result.next_ip
             if target == HALT_SENTINEL:
                 sec.fetch_done = True
-                sec.ends_program = True
                 if sec.req_waiters is not None:
                     self.proc.section_event(sec)
             elif not 0 <= target < len(self.proc.program.code):
@@ -653,8 +641,6 @@ class Core:
             while budget and sec.rob and sec.rob[0].terminated():
                 dyn = sec.rob.popleft()
                 dyn.timing.ret = now
-                dyn.retired = True
-                self.retired += 1
                 self.did_work = True
                 popped = True
                 budget -= 1

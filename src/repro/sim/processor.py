@@ -83,34 +83,19 @@ class Processor:
 
         self.noc = make_noc(self.cfg.topology, self.cfg.n_cores,
                             self.cfg.noc_latency)
-        #: structured event stream (repro.obs); None keeps the hot paths
-        #: at a single is-None test per instrumentation point
-        self.tracer = EventTrace() if self.cfg.events else None
-        #: cycle-domain metrics (repro.obs.metrics): derived post-hoc in
-        #: _result() from bit-identical artifacts, never sampled in the
-        #: run loops — the only way the cycle-skipping kernels can emit
-        #: the same series as the naive one
-        self.metrics_on = self.cfg.metrics_window is not None
-        # stall attribution consumes occupancy states, so tracing forces
-        # their collection (the per-cycle timeline stays internal unless
-        # cfg.trace also asks for it in the result); windowed metrics
-        # need the same per-cycle states
-        self.occupancy_on = (self.cfg.collect_occupancy or self.cfg.events
-                             or self.metrics_on)
+        #: structured event stream (repro.obs), the kernel's one
+        #: observation channel besides its always-on counters: recorded
+        #: for SimResult.events and for the windowed metrics that
+        #: _result() folds from it.  None keeps the hot paths at a single
+        #: is-None test per instrumentation point.
+        self.tracer = (EventTrace() if self.cfg.events
+                       or self.cfg.metrics_window is not None else None)
         self.cores = [Core(i, self) for i in range(self.cfg.n_cores)]
-        if self.cfg.trace or self.cfg.events or self.metrics_on:
+        if self.cfg.trace or self.tracer is not None:
+            # the per-cycle core-state timeline: SimResult.trace, and the
+            # input of stall attribution and windowed metrics
             for core in self.cores:
                 core.trace_states = []
-        #: per-link transfer log (cycle, src, dst, latency) — one entry
-        #: per NoC record_transfer plus the DMH port replies (src -1);
-        #: feeds derive_cycle_metrics
-        self.metrics_hops: Optional[List[Tuple[int, int, int, int]]] = (
-            [] if self.metrics_on else None)
-        #: fault-event log (cycle, kind, src, dst) appended by the
-        #: FaultEngine (drop/retry/redispatch); duck-typed there via
-        #: getattr so repro.faults keeps its no-sim-import rule
-        self.metrics_faults: Optional[List[Tuple[int, str, int, int]]] = (
-            [] if self.metrics_on else None)
         self.sections: List[SectionState] = []
         self.order: List[SectionState] = []
         #: bumped whenever a fork renumbers the total order — cores use it
@@ -630,8 +615,6 @@ class Processor:
                 req.rid if req is not None else -1,
                 req.requester.sid if req is not None else 0)
         self.noc.record_transfer(latency)
-        if self.metrics_hops is not None:
-            self.metrics_hops.append((now, src_core, dst_core, latency))
         if self.tracer is not None:
             self.tracer.emit(now, "noc_send", src=src_core, dst=dst_core,
                              latency=latency)
@@ -914,8 +897,6 @@ class Processor:
             delay = self.fault_engine.perturb_hop(
                 -1, req.requester.core_id, now, delay, req.rid,
                 req.requester.sid)
-        if self.metrics_hops is not None:
-            self.metrics_hops.append((now, -1, req.requester.core_id, delay))
         req.reply_cycle = now + max(delay, 1)
         if self.tracer is not None:
             self.tracer.emit(now, "request_dmh", rid=req.rid,
@@ -966,25 +947,22 @@ class Processor:
         for core in self.cores:     # flush still-parked occupancy spans
             if core._span_start is not None:
                 core._close_span(self.cycle)
-        core_occupancy = ([occupancy_counts(core.occ) for core in self.cores]
-                          if self.occupancy_on else [])
-        section_occupancy = (self._section_occupancy()
-                             if self.occupancy_on else {})
         trace = None
         if self.cfg.trace:
             trace = ["".join(STATE_CODES[s] for s in core.trace_states)
                      for core in self.cores]
         events = None
         stall_causes = None
-        if self.tracer is not None:
-            self.tracer.events.extend(synthesize_core_events(
+        tracer = self.tracer
+        if tracer is not None and self.cfg.events:
+            tracer.events.extend(synthesize_core_events(
                 [core.trace_states for core in self.cores],
                 CORE_STATES, (BLOCKED, PARKED)))
-            self.tracer.events.sort(key=lambda e: e[0])  # stable: keeps
-            events = self.tracer.events                  # emission order
+            tracer.events.sort(key=lambda e: e[0])  # stable: keeps
+            events = tracer.events                  # emission order
             stall_causes = attribute_stalls(self)
         metrics = None
-        if self.metrics_on:
+        if self.cfg.metrics_window is not None:
             from ..obs.metrics import derive_cycle_metrics
             metrics = derive_cycle_metrics(self, self.cfg.metrics_window)
         return SimResult(
@@ -1005,8 +983,9 @@ class Processor:
                 for req in self.requests
                 if req.done and req.dest_cell.ready_cycle is not None],
             scheduler=self.cfg.kernel,
-            core_occupancy=core_occupancy,
-            section_occupancy=section_occupancy,
+            core_occupancy=[occupancy_counts(core.occ)
+                            for core in self.cores],
+            section_occupancy=self._section_occupancy(),
             noc_stats=self.noc.stats(),
             trace=trace,
             events=events,

@@ -84,7 +84,6 @@ class SectionState:
         self.waiting_control: Optional[DynInstr] = None
         self.stores_pending = 0             #: stores fetched, not yet renamed
         self.outs: List[Tuple[int, int]] = []   #: (index, value) from out
-        self.ends_program = False           #: section fetched hlt / sentinel
         #: park tag -> rids of the renaming requests waiting for that
         #: final-state condition, registered only by the event kernel's
         #: lazy request scheduler (see :meth:`repro.sim.processor.
@@ -170,7 +169,6 @@ class SectionState:
         self.waiting_control = None
         self.stores_pending = 0
         self.outs = []
-        self.ends_program = False
 
     def describe(self) -> str:
         return ("section %d (core %d, start=%d, depth=%d, %d instrs%s)"

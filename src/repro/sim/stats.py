@@ -1,17 +1,20 @@
 """Simulation results and cycle-level observability.
 
-Beyond the headline numbers (cycles, IPC, renaming traffic), a run can
-carry two observability layers built on the same wake machinery as the
+Beyond the headline numbers (cycles, IPC, renaming traffic), a run
+carries two observability layers built on the same wake machinery as the
 event-driven scheduler:
 
 * **occupancy histograms** — for every core, how many cycles it spent in
   each of four states (``fetching`` / ``computing`` / ``blocked`` /
   ``parked``), and for every section, how many cycles it fetched versus
-  sat blocked between creation and completion.  Collected by default
-  (:attr:`repro.sim.SimConfig.collect_occupancy`); both scheduler modes
-  produce identical histograms;
+  sat blocked between creation and completion.  Always collected; both
+  scheduler modes produce identical histograms;
 * **the per-cycle trace** — the full core-state timeline, one state code
   per core per cycle (:attr:`repro.sim.SimConfig.trace`, opt-in).
+
+Events, stall causes and windowed metrics are the opt-in layers of
+:mod:`repro.obs` (:attr:`repro.sim.SimConfig.events` and
+:attr:`repro.sim.SimConfig.metrics_window`).
 
 ``python -m repro stats FILE --json`` exports everything machine-readably.
 """
@@ -92,8 +95,7 @@ class SimResult:
     request_latencies: List[int] = field(default_factory=list, repr=False)
     #: which scheduler produced this result: "event" or "naive"
     scheduler: str = "event"
-    #: per-core state histogram: one {state: cycles} dict per core; empty
-    #: when collect_occupancy was off
+    #: per-core state histogram: one {state: cycles} dict per core
     core_occupancy: List[Dict[str, int]] = field(default_factory=list,
                                                  repr=False)
     #: per-section occupancy keyed by sid: created / completed cycle,

@@ -73,8 +73,9 @@ if TYPE_CHECKING:     # pragma: no cover - import cycle guard (sim -> here)
 #: bump when the envelope layout or the captured object graph changes
 #: incompatibly; readers reject other versions loudly.  v2: the event
 #: kernel's lazy request scheduler replaced its pending-request list,
-#: and the vector kernel is gone.
-SNAPSHOT_SCHEMA_VERSION = 2
+#: and the vector kernel is gone.  v3: DynInstr lost six slots (its
+#: pickle state is positional) and the processor its metrics side logs.
+SNAPSHOT_SCHEMA_VERSION = 3
 
 _MAGIC = b"RSNP"
 _HEAD = struct.Struct(">II")    # schema version, header length

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fork import fork_transform
+from repro.isa import assemble
 from repro.obs.metrics import (CYCLE_DOMAIN, HOST_DOMAIN, Counter, Gauge,
                                Histogram, MetricsRegistry, TimeSeries,
                                cycle_metrics_to_registry,
@@ -44,6 +45,24 @@ def _run(short="quicksort", **overrides):
 @pytest.fixture(scope="module")
 def run():
     return _run()
+
+
+#: the continuation reads rdx, which no section writes and no fork
+#: copies, after its parent section has folded: the register request
+#: walks off the live sections and reads the architectural state
+_REG_FROM_DMH = """
+main:
+    fork f
+    movq $40, %rcx
+loop:
+    subq $1, %rcx
+    jne loop
+    out %rdx
+    endfork
+f:
+    movq $1, %rax
+    endfork
+"""
 
 
 # -- merge algebra (the order-independence property) -------------------------
@@ -177,6 +196,27 @@ class TestDerivationInvariants:
         metrics = run.metrics
         assert metrics["windows"] == metrics["cycles"]
         assert sum(metrics["series"]["retired"]) == run.instructions
+
+    @pytest.mark.parametrize("read", ["memory", "register"])
+    def test_zero_latency_dmh_reply_is_busy_one_cycle(self, read):
+        # a reply lands at least a cycle after its read (reply_cycle =
+        # now + max(delay, 1)): one busy cycle even at zero delay.  A
+        # memory read's delay is zero with no NoC or DMH latency; a
+        # register read's is the port delay alone, zero with no NoC
+        # latency at the default dmh_latency
+        if read == "memory":
+            result = _run(noc_latency=0, dmh_latency=0, events=False)
+        else:
+            result, _ = simulate(assemble(_REG_FROM_DMH),
+                                 SimConfig(n_cores=4, noc_latency=0,
+                                           metrics_window=WINDOW),
+                                 initial_regs={"rdx": 5})
+            assert result.outputs == [5]
+        dmh = [e for name, e in result.metrics["links"].items()
+               if name.startswith("dmh")]
+        messages = sum(sum(e["messages"]) for e in dmh)
+        assert messages == result.noc_stats["dmh_reads"] > 0
+        assert sum(sum(e["busy_cycles"]) for e in dmh) == messages
 
     def test_default_config_has_no_metrics(self):
         assert _run(metrics_window=None).metrics is None

@@ -53,6 +53,10 @@ _BAD_SPECS = [
      "job 0: invalid config: need at least one core"),
     ("removed_kernel", [dict(_ASM, config={"kernel": "vector"})],
      "job 0: invalid config: kernel 'vector' was removed"),
+    ("faults_not_an_object", [dict(_ASM, config={"faults": [1]})],
+     "job 0: faults must be an object"),
+    ("occupancy_off", [dict(_ASM, config={"collect_occupancy": False})],
+     "job 0: collect_occupancy must be true"),
 ]
 
 

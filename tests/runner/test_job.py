@@ -30,7 +30,6 @@ _CHANGED = {
     "stack_shortcut": True,
     "line_bytes": 128,
     "trace": True,
-    "collect_occupancy": False,
     "events": True,
     "max_cycles": 1000,
     "faults": FaultPlan(drop_rate=0.1),

@@ -99,11 +99,13 @@ class TestRoundTrip:
         # metrics_window, optimize and checkpoint_cycles are the three
         # deliberate elisions: their defaults (None/False/None) are
         # omitted from the wire dict so pre-existing cache keys stay
-        # byte-identical (see SimConfig.to_dict)
+        # byte-identical (see SimConfig.to_dict); collect_occupancy is
+        # no field but rides the wire as a constant for the same reason
         from dataclasses import fields
         payload = SimConfig().to_dict()
         expected = ({f.name for f in fields(SimConfig)}
-                    - {"metrics_window", "optimize", "checkpoint_cycles"})
+                    - {"metrics_window", "optimize", "checkpoint_cycles"}
+                    | {"collect_occupancy"})
         assert set(payload) == expected
 
     def test_metrics_window_elided_only_when_none(self):
@@ -154,6 +156,29 @@ class TestRejection:
         plan["deaths"][0]["mood"] = "bad"
         with pytest.raises(ReproError):
             FaultPlan.from_dict(plan)
+
+    @pytest.mark.parametrize("payload, fragment", [
+        ([1], "faults must be an object"),
+        ("drop", "faults must be an object"),
+        ({"deaths": [1]}, "faults deaths entries must be objects"),
+        ({"spikes": ["a"]}, "faults spikes entries must be objects"),
+        ({"deaths": 5}, "faults deaths must be a list"),
+    ], ids=["list", "string", "death", "spike", "deaths_scalar"])
+    def test_non_object_faultplan_rejected(self, payload, fragment):
+        with pytest.raises(ReproError, match=fragment):
+            FaultPlan.from_dict(payload)
+
+    def test_collect_occupancy_false_rejected(self):
+        # occupancy is always collected: the key rides the wire as true
+        # only so that pre-existing cache keys stay byte-identical
+        payload = SimConfig().to_dict()
+        assert payload["collect_occupancy"] is True
+        assert SimConfig.from_dict(payload) == SimConfig()
+        payload["collect_occupancy"] = False
+        with pytest.raises(SimulationError, match="collect_occupancy"):
+            SimConfig.from_dict(payload)
+        with pytest.raises(TypeError):
+            SimConfig(collect_occupancy=False)
 
     def test_validation_reruns_on_load(self):
         payload = SimConfig().to_dict()

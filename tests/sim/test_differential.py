@@ -316,6 +316,20 @@ class TestTable1Chaos:
         _assert_fields_equal(_chaotic(short, "event"),
                              _chaotic(short, "naive"), short)
 
+    @pytest.mark.parametrize("kernel", ["event", "naive"])
+    @pytest.mark.parametrize("short", ["quicksort", "mis"])
+    def test_metrics_only_run_folds_the_same_metrics(self, short, kernel):
+        # metrics_window alone records the event stream for the fold but
+        # hands out neither the stream nor the stall attribution
+        result, _ = simulate(_program(short), SimConfig(
+            n_cores=N_CORES, kernel=kernel, metrics_window=METRICS_WINDOW,
+            faults=_chaos_plan(short)))
+        assert result.events is None and result.stall_causes is None
+        assert result.metrics == _chaotic(short, kernel).metrics
+        totals = result.metrics["totals"]
+        assert totals["drops"] and totals["retries"]
+        assert totals["redispatches"]
+
     @pytest.mark.parametrize("short", ALL_SHORTS)
     def test_chaos_perturbs_timing_never_values(self, short):
         base = _fault_free(short, "naive")

@@ -128,12 +128,6 @@ class TestOccupancyHistograms:
         assert set(summary) == set(CORE_STATES)
         assert abs(sum(summary.values()) - 1.0) < 1e-9
 
-    def test_collect_occupancy_off(self):
-        result = _run(n_cores=4, collect_occupancy=False)
-        assert result.core_occupancy == []
-        assert result.section_occupancy == {}
-        assert result.occupancy_summary() == {s: 0.0 for s in CORE_STATES}
-
     def test_trace_opt_in(self):
         assert _run(n_cores=2).trace is None
         traced = _run(n_cores=2, trace=True)
@@ -172,9 +166,9 @@ class TestResultEdgeCases:
         assert result.occupancy_summary() == {s: 0.0 for s in CORE_STATES}
 
     def test_json_without_observability_layers(self):
-        # occupancy off, no trace, no events: the optional keys stay out
-        # and nothing dereferences the absent layers.
-        result = _run(n_cores=2, collect_occupancy=False)
+        # no trace, no events: the optional keys stay out and nothing
+        # dereferences the absent layers.
+        result = _run(n_cores=2)
         assert result.trace is None and result.events is None
         assert result.stall_causes is None
         payload = result.to_json_dict(include_trace=True,
@@ -182,12 +176,12 @@ class TestResultEdgeCases:
         assert "trace" not in payload
         assert "events" not in payload
         assert "stall_causes" not in payload
-        assert payload["core_occupancy"] == []
+        assert len(payload["core_occupancy"]) == 2
         json.dumps(payload)
 
     def test_events_config_forces_occupancy(self):
-        result = _run(n_cores=2, collect_occupancy=False, events=True)
-        assert result.core_occupancy, "events=True must imply occupancy"
+        result = _run(n_cores=2, events=True)
+        assert result.core_occupancy
         assert result.events is not None
         assert result.stall_causes is not None
         # trace stays opt-in even though events collected the timeline
