@@ -13,8 +13,6 @@ Subsystem map (see DESIGN.md for the full inventory):
 * :mod:`repro.analytic`  — Section 5 closed-form model of the sum reduction
 * :mod:`repro.paper`     — the paper's Figure 2 / Figure 5 listings, runnable
 * :mod:`repro.runner`    — parallel batch engine + content-addressed cache
-* :mod:`repro.snapshot`  — full-state snapshot/restore (time travel, warm
-  chaos-grid forks)
 * :mod:`repro.api`       — the **stable facade**; subpackage internals are
   not a stability contract, this module is
 
@@ -60,8 +58,6 @@ from .minic import compile_source, compile_to_asm
 from .fork import fork_transform, render_section_trace, render_section_tree
 from .sim import Processor, SimConfig, SimResult, simulate
 from .runner import BatchReport, Job, ResultCache, run_batch
-from .snapshot import (SNAPSHOT_SCHEMA_VERSION, Snapshot, SnapshotError,
-                       capture_prefix, resume)
 from . import api
 
 #: fallback when the distribution is not installed (e.g. a bare
@@ -89,12 +85,10 @@ __all__ = [
     "AssemblerError", "BatchReport", "CompileError", "DependencyModel",
     "ExecutionError", "ForkedMachine", "ILPResult", "Instruction", "Job",
     "PARALLEL_MODEL", "Processor", "Program", "ReproError", "ResultCache",
-    "RunResult", "SEQUENTIAL_MODEL", "SNAPSHOT_SCHEMA_VERSION",
-    "SequentialMachine", "SimConfig", "SimResult", "SimulationError",
-    "Snapshot", "SnapshotError", "Trace", "TraceEntry", "analyze",
-    "api", "assemble", "capture_prefix", "compile_source",
-    "compile_to_asm", "fork_transform", "render_section_trace",
-    "render_section_tree", "resume", "run_batch", "run_forked",
-    "run_sequential", "simulate", "wall_good_model",
-    "wall_perfect_model",
+    "RunResult", "SEQUENTIAL_MODEL", "SequentialMachine", "SimConfig",
+    "SimResult", "SimulationError", "Trace", "TraceEntry", "analyze",
+    "api", "assemble", "compile_source", "compile_to_asm",
+    "fork_transform", "render_section_trace", "render_section_tree",
+    "run_batch", "run_forked", "run_sequential", "simulate",
+    "wall_good_model", "wall_perfect_model",
 ]

@@ -72,7 +72,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from . import __version__, api
 from .errors import ReproError
@@ -87,9 +87,27 @@ from .workloads import WORKLOADS
 CLI_SCHEMA_VERSION = 1
 
 
-def _load_program(path: str, fork: bool, fork_loops: bool):
+def _read_text(path: str) -> str:
+    """The text of input file *path*.  Bytes that are not UTF-8 are a
+    ReproError naming the file; a missing file or a directory raises
+    OSError, which :func:`main` reports as one line too."""
     try:
-        return api.load_program(path, fork=fork, fork_loops=fork_loops)
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        error = ReproError("not a UTF-8 text file (%s)" % exc)
+        error.path = path
+        raise error from None
+
+
+def _load_program(path: str, fork: bool, fork_loops: bool):
+    """Load by suffix, as :func:`repro.api.load_program` does: ``.c``
+    compiles as MiniC, anything else assembles."""
+    source = _read_text(path)
+    try:
+        if path.endswith(".c"):
+            return api.compile_c(source, fork=fork, fork_loops=fork_loops)
+        return api.assemble(source)
     except ReproError as exc:
         # compile/assembly diagnostics already carry line[:col]; prefix
         # the file so messages read file:line like any compiler's
@@ -139,10 +157,6 @@ def _add_kernel_argument(cmd) -> None:
                           "(bit-identical results)")
 
 
-def _is_blob_key(ref: str) -> bool:
-    return len(ref) == 64 and all(c in "0123456789abcdef" for c in ref)
-
-
 @dataclass
 class SimOptions:
     """The one shared CLI surface of every simulator subcommand.
@@ -151,8 +165,8 @@ class SimOptions:
     their flags through :meth:`add_arguments`, parse them through
     :meth:`from_args` and execute through :meth:`run` — no subcommand
     re-plumbs flags by hand, and a new shared flag is added in exactly
-    one place.  Flags only some subcommands define (``--events``/
-    ``--trace``) default off.
+    one place.  Flags only ``stats`` defines (``--events``/``--trace``)
+    default off.
     """
 
     file: str
@@ -168,9 +182,6 @@ class SimOptions:
     metrics: Optional[int] = None
     trace: bool = False
     events: bool = False
-    checkpoints: Tuple[int, ...] = ()
-    snapshot_dir: Optional[str] = None
-    resume_from: Optional[str] = None
 
     @staticmethod
     def add_arguments(cmd) -> None:
@@ -199,44 +210,24 @@ class SimOptions:
                  "'seed=7,drop=0.1,die=3@500' (keys: seed, drop, spike, "
                  "spike_extra, jitter, ackloss, die=CORE@CYCLE "
                  "(repeatable), timeout, cap, resends, redispatch, "
-                 "redispatch_latency, start)")
+                 "redispatch_latency)")
         cmd.add_argument("--chrome-trace", metavar="OUT.json",
                          help="also write a Chrome trace-event JSON")
         cmd.add_argument("--metrics", type=int, default=None, metavar="W",
                          help="collect windowed cycle-domain metrics, one "
                               "sample window every W cycles (carried in "
                               "the result; exported by stats --json)")
-        cmd.add_argument("--checkpoint", type=int, action="append",
-                         default=None, metavar="CYCLE", dest="checkpoint",
-                         help="capture a full-state snapshot after CYCLE "
-                              "(repeatable; labels past the end collapse "
-                              "into one final-state snapshot)")
-        cmd.add_argument("--snapshot-dir", metavar="DIR",
-                         help="file captured snapshots content-addressed "
-                              "under DIR (prints one key per snapshot; "
-                              "also where --resume-from KEY looks)")
-        cmd.add_argument("--resume-from", metavar="SNAP",
-                         help="continue from a snapshot instead of cycle "
-                              "0: a file path, or a 64-hex blob key "
-                              "resolved in --snapshot-dir")
 
     @classmethod
     def from_args(cls, args) -> "SimOptions":
         return cls(
             file=args.file, cores=args.cores, shortcut=args.shortcut,
-            placement=args.placement,
-            topology=getattr(args, "topology", "uniform"),
-            kernel=args.kernel,
-            fork_loops=args.fork_loops,
-            optimize=bool(getattr(args, "optimize", False)),
-            faults=getattr(args, "faults", None),
-            chrome_trace=getattr(args, "chrome_trace", None),
-            metrics=getattr(args, "metrics", None),
+            placement=args.placement, topology=args.topology,
+            kernel=args.kernel, fork_loops=args.fork_loops,
+            optimize=args.optimize, faults=args.faults,
+            chrome_trace=args.chrome_trace, metrics=args.metrics,
             trace=bool(getattr(args, "trace", False)),
-            events=bool(getattr(args, "events", False)),
-            checkpoints=tuple(getattr(args, "checkpoint", None) or ()),
-            snapshot_dir=getattr(args, "snapshot_dir", None),
-            resume_from=getattr(args, "resume_from", None))
+            events=bool(getattr(args, "events", False)))
 
     def config(self, **extra):
         """Build the SimConfig; ``extra`` force-overrides — e.g.
@@ -249,49 +240,16 @@ class SimOptions:
             kernel=self.kernel,
             optimize=self.optimize, trace=self.trace,
             events=self.events or bool(self.chrome_trace),
-            metrics_window=self.metrics, faults=faults,
-            checkpoint_cycles=self.checkpoints or None)
+            metrics_window=self.metrics, faults=faults)
         options.update(extra)
         return SimConfig(**options)
 
-    def _resolve_resume(self):
-        """Load the ``--resume-from`` snapshot (path or blob key)."""
-        if not self.resume_from:
-            return None
-        from .snapshot import Snapshot
-        if _is_blob_key(self.resume_from):
-            if not self.snapshot_dir:
-                raise ReproError(
-                    "--resume-from with a blob key needs --snapshot-dir")
-            from .runner import ResultCache
-            data = ResultCache(self.snapshot_dir).get_blob(self.resume_from)
-            if data is None:
-                raise ReproError("snapshot %s not found under %s"
-                                 % (self.resume_from, self.snapshot_dir))
-            return Snapshot.from_bytes(data)
-        return Snapshot.load(self.resume_from)
-
-    def _publish_snapshots(self, processor) -> None:
-        """File captured snapshots under ``--snapshot-dir``, one key per
-        line (the key feeds ``--resume-from``)."""
-        checkpoints = getattr(processor, "checkpoints", None)
-        if not self.snapshot_dir or not checkpoints:
-            return
-        from .runner import ResultCache
-        cache = ResultCache(self.snapshot_dir)
-        for snap in checkpoints:
-            key = cache.put_blob(snap.to_bytes())
-            print("# snapshot @cycle %d -> %s" % (snap.cycle, key))
-
     def run(self, **extra):
-        """Load + configure + simulate (cold or resumed) + publish any
-        captured snapshots — the whole shared path of a sim subcommand."""
+        """Load + configure + simulate — the whole shared path of a sim
+        subcommand."""
         prog = _load_program(self.file, self.file.endswith(".c"),
                              self.fork_loops)
-        run = api.simulate(prog, self.config(**extra),
-                           resume_from=self._resolve_resume())
-        self._publish_snapshots(run.processor)
-        return run
+        return api.simulate(prog, self.config(**extra))
 
 
 def _simulate_cmd(args, **extra):
@@ -299,18 +257,17 @@ def _simulate_cmd(args, **extra):
     return SimOptions.from_args(args).run(**extra)
 
 
-def _write_chrome_trace(result, path: str,
-                        seek: Optional[int] = None) -> None:
+def _write_chrome_trace(result, path: str) -> None:
     from .obs import to_chrome_trace
     with open(path, "w") as handle:
-        json.dump(to_chrome_trace(result, seek=seek), handle)
+        json.dump(to_chrome_trace(result), handle)
     print("# chrome trace written to %s (open at https://ui.perfetto.dev)"
           % path)
 
 
 def _finish_sim(args, result) -> None:
     """Shared post-run plumbing: the optional Chrome-trace export."""
-    if getattr(args, "chrome_trace", None):
+    if args.chrome_trace:
         _write_chrome_trace(result, args.chrome_trace)
 
 
@@ -380,7 +337,7 @@ def cmd_stats(args) -> int:
 
 def cmd_metrics(args) -> int:
     """Simulate with cycle-domain metrics on and export the series."""
-    window = getattr(args, "metrics", None) or args.window
+    window = args.metrics or args.window
     result = _simulate_cmd(args, metrics_window=window).result
     _finish_sim(args, result)
     metrics = result.metrics or {}
@@ -397,7 +354,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_trace(args) -> int:
     result = _simulate_cmd(args, events=True).result
-    _write_chrome_trace(result, args.output, seek=args.seek)
+    _write_chrome_trace(result, args.output)
     print("# " + result.describe())
     return 0
 
@@ -420,8 +377,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_compile(args) -> int:
     from .minic import compile_to_asm
-    with open(args.file) as handle:
-        source = handle.read()
+    source = _read_text(args.file)
     sys.stdout.write(compile_to_asm(source, fork_mode=args.fork,
                                     fork_loops=args.fork_loops))
     return 0
@@ -632,47 +588,10 @@ def cmd_batch(args) -> int:
 _CHAOS_DEFAULT = ("quicksort", "dictionary", "bfs")
 
 
-def _chaos_warmstart(args, shorts) -> int:
-    """``repro chaos --warm-start``: fork every grid cell from one
-    pre-fault snapshot per workload instead of replaying the prefix."""
-    from .faults import warmstart_sweep
-    payload = warmstart_sweep(shorts, args.drops, args.deaths,
-                              n_cores=args.cores, seed=args.seed,
-                              scheduler=args.kernel,
-                              start_frac=args.warm_start)
-    records = payload["records"]
-    if args.json:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        print("%-12s %5s %6s %8s %8s %7s %8s %s"
-              % ("benchmark", "drop", "deaths", "cycles", "start",
-                 "slowdn", "speedup", "identical"))
-        for rec in records:
-            print("%-12s %5.2f %6d %8d %8d %7.2fx %7.2fx %s"
-                  % (rec["benchmark"], rec["drop_rate"], rec["deaths"],
-                     rec["cycles"], rec["start_cycle"], rec["slowdown"],
-                     rec["speedup"], "yes" if rec["identical"] else "NO"))
-        summary = payload["summary"]
-        print("# warm grid: %d cells  cold=%.2fs  warm=%.2fs  "
-              "capture=%.2fs  speedup_vs_replay=%.2fx"
-              % (summary["cells"], summary["cold_wall_s"],
-                 summary["warm_wall_s"], summary["capture_wall_s"],
-                 summary["speedup_vs_replay"]))
-    broken = [r for r in records if not r["identical"]]
-    if broken:
-        print("error: %d/%d warm-forked runs diverged from the cold "
-              "replays" % (len(broken), len(records)), file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_chaos(args) -> int:
     from .faults import chaos_spec, chaos_sweep
     shorts = ([w.short for w in WORKLOADS] if args.workloads
               else list(_CHAOS_DEFAULT))
-    if args.warm_start is not None:
-        return _chaos_warmstart(args, shorts)
     cache = _batch_cache(args)
     if args.emit_jobs:
         spec = chaos_spec(shorts, args.drops, args.deaths,
@@ -766,10 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_sim_options(trace)
     trace.add_argument("-o", "--output", default="trace.json",
                        help="output path (default: trace.json)")
-    trace.add_argument("--seek", type=int, default=None, metavar="CYCLE",
-                       help="start the exported trace at CYCLE (pairs "
-                            "with --resume-from for cheap time travel "
-                            "into the tail of a long run)")
     trace.set_defaults(func=cmd_trace)
 
     analyze = sub.add_parser(
@@ -891,14 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=1234)
     _add_kernel_argument(chaos)
     add_batch_options(chaos)
-    chaos.add_argument("--warm-start", type=float, default=None,
-                       metavar="FRAC",
-                       help="fork every grid cell from one pre-fault "
-                            "snapshot captured at FRAC of each "
-                            "workload's fault-free run (0 < FRAC < 1) "
-                            "instead of replaying the prefix per cell; "
-                            "each cell is cross-checked bit-identical "
-                            "against its cold replay")
     chaos.add_argument("--emit-jobs", metavar="SPEC.json",
                        help="write the grid as a 'repro batch' job spec "
                             "instead of sweeping it here")
@@ -925,7 +832,9 @@ def main(argv=None) -> int:
         else:
             print("error: %s" % exc, file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing file, a directory, an unreadable path: the message
+        # names it
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -21,26 +21,25 @@ The entry points cover the library's pipeline: :func:`compile_c` /
 list of :class:`~repro.runner.Job` out over a worker pool with
 content-addressed result caching (:mod:`repro.runner`).
 
-API v2 added time travel: :func:`snapshot` captures full simulator
-state at a chosen cycle, :func:`resume` continues a snapshot
-(optionally attaching a fault plan — the warm-fork used by the chaos
-grid), :func:`checkpoints_of` runs with checkpoints armed, and
-:func:`simulate` grew ``resume_from=``.  Resumed runs are bit-identical
-to cold ones on every compared result field.
+API v3 leaves two kernels, ``SimConfig(kernel="event")`` (the
+default) and ``kernel="naive"``.  The ``event_driven=`` constructor
+argument is gone (a wire-format dict may still carry it, when it agrees
+with ``kernel``), and ``kernel="vector"`` is rejected: it was
+bit-identical to ``"event"``, which now carries its lazy request
+scheduler.
 
-API v3 (``API_SCHEMA_VERSION == 3``) leaves two kernels,
-``SimConfig(kernel="event")`` (the default) and ``kernel="naive"``.
-The ``event_driven=`` constructor argument is gone (a wire-format dict
-may still carry it, when it agrees with ``kernel``), and
-``kernel="vector"`` is rejected: it was bit-identical to ``"event"``,
-which now carries its lazy request scheduler.
+API v4 (``API_SCHEMA_VERSION == 4``) retires the time travel that v2
+added: the ``snapshot`` and ``resume`` entries, the one that armed
+captures on a full run, and ``simulate``'s resume keyword are gone.
+Every simulation runs from cycle 0; a resumed run only ever returned
+the cold run's result.  The ``SimConfig`` and ``FaultPlan`` keys that
+served them are now rejected as unknown keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterable, List, Optional,
-                    Sequence, Union)
+from typing import Callable, Dict, Optional, Sequence, Union
 
 from .fork import fork_transform
 from .isa import assemble as _assemble
@@ -52,20 +51,17 @@ from .minic import compile_source as _compile_source
 from .runner import BatchReport, Job, JobOutcome, ResultCache, run_batch
 from .sim import (Processor, SimConfig, SimResult,
                   simulate as _simulate)
-from .snapshot import (Snapshot, SnapshotError,
-                       capture_prefix as _capture_prefix,
-                       resume as _resume)
 
 #: facade major version: bump on any breaking signature change here.
-#: v2 = snapshot/resume/checkpoints_of + kernel= replacing event_driven=;
-#: v3 = event_driven= and kernel="vector" removed.
-API_SCHEMA_VERSION = 3
+#: v2 = time travel (snapshot/resume) + kernel= replacing event_driven=;
+#: v3 = event_driven= and kernel="vector" removed; v4 = time travel
+#: removed.
+API_SCHEMA_VERSION = 4
 
 __all__ = [
-    "API_SCHEMA_VERSION", "ForkRun", "SimRun", "Snapshot",
-    "SnapshotError", "assemble", "batch", "checkpoints_of", "compile_c",
-    "load_program", "make_jobs", "resume", "run_forked",
-    "run_sequential", "simulate", "snapshot",
+    "API_SCHEMA_VERSION", "ForkRun", "SimRun", "assemble", "batch",
+    "compile_c", "load_program", "make_jobs", "run_forked",
+    "run_sequential", "simulate",
 ]
 
 
@@ -129,59 +125,11 @@ def run_forked(program: Program, record_trace: bool = False,
 
 
 def simulate(program: Program, config: Optional[SimConfig] = None,
-             initial_regs: Optional[Dict[str, int]] = None,
-             resume_from: Optional[Snapshot] = None) -> SimRun:
-    """Cycle-simulate on the distributed many-core.
-
-    ``resume_from`` continues a :class:`Snapshot` instead of starting
-    cold; *program* and *config* are then validated against the
-    snapshot's provenance rather than driving a fresh run."""
+             initial_regs: Optional[Dict[str, int]] = None) -> SimRun:
+    """Cycle-simulate on the distributed many-core."""
     result, processor = _simulate(program, config=config,
-                                  initial_regs=initial_regs,
-                                  resume_from=resume_from)
+                                  initial_regs=initial_regs)
     return SimRun(result=result, processor=processor)
-
-
-def snapshot(program: Program, cycle: int,
-             config: Optional[SimConfig] = None,
-             initial_regs: Optional[Dict[str, int]] = None) -> Snapshot:
-    """Capture full simulator state after *cycle* by running just the
-    prefix (the run is abandoned once the checkpoint is taken).  The
-    returned :class:`Snapshot` round-trips through ``to_bytes`` /
-    ``from_bytes`` and resumes via :func:`resume` or
-    ``simulate(resume_from=...)``."""
-    return _capture_prefix(program, cycle, config=config,
-                           initial_regs=initial_regs)
-
-
-def resume(snap: Snapshot, program: Optional[Program] = None,
-           config: Optional[SimConfig] = None,
-           faults: Optional[Any] = None,
-           checkpoint_cycles: Optional[Iterable[int]] = None) -> SimRun:
-    """Continue *snap* to completion — bit-identical to the cold run.
-
-    *program*/*config* are provenance cross-checks; *faults* attaches a
-    :class:`~repro.faults.FaultPlan` to a fault-free snapshot (it must
-    take effect strictly after the snapshot cycle — gate it with
-    ``start_cycle``); *checkpoint_cycles* re-arms future checkpoints."""
-    result, processor = _resume(snap, program=program, config=config,
-                                faults=faults,
-                                checkpoint_cycles=checkpoint_cycles)
-    return SimRun(result=result, processor=processor)
-
-
-def checkpoints_of(program: Program, cycles: Iterable[int],
-                   config: Optional[SimConfig] = None,
-                   initial_regs: Optional[Dict[str, int]] = None,
-                   ) -> List[Snapshot]:
-    """Run *program* to completion with checkpoints armed at *cycles*;
-    returns the captured snapshots (labels past the end of the run
-    collapse into one final-state snapshot)."""
-    import dataclasses
-    cfg = dataclasses.replace(config or SimConfig(),
-                              checkpoint_cycles=tuple(cycles))
-    run = simulate(program, cfg, initial_regs=initial_regs)
-    return list(run.processor.checkpoints)
 
 
 def make_jobs(programs: Sequence[Union[Program, Job]],

@@ -17,9 +17,8 @@ both schedulers — sequential consistency survives chaos.
 
 from .models import CoreDeath, FaultPlan, LinkSpike
 from .recovery import FaultEngine, FaultStats
-from .sweep import (chaos_spec, chaos_sweep, deaths_for, deaths_in_tail,
-                    memory_digest, warmstart_sweep)
+from .sweep import chaos_spec, chaos_sweep, deaths_for, memory_digest
 
 __all__ = ["CoreDeath", "FaultPlan", "LinkSpike", "FaultEngine",
            "FaultStats", "chaos_spec", "chaos_sweep", "deaths_for",
-           "deaths_in_tail", "memory_digest", "warmstart_sweep"]
+           "memory_digest"]

@@ -113,15 +113,6 @@ class FaultPlan:
     #: cycles between a death and the first fetch of a re-dispatched
     #: section on its new core (failure detection + state shipping)
     redispatch_latency: int = 8
-    #: the plan is inert before this cycle: every probabilistic decision
-    #: point (drops, spikes, jitter, ack loss, keyed by message *send*
-    #: cycle) returns the fault-free answer for cycles below it.  This is
-    #: what makes the chaos-grid warm fork sound: a run resumed from a
-    #: fault-free snapshot at cycle S < start_cycle with the plan
-    #: attached is bit-identical to the cold run with the same plan.
-    #: 0 — the default — means active from the first cycle (and is
-    #: elided from the wire form so pre-existing cache keys hold).
-    start_cycle: int = 0
 
     def __post_init__(self) -> None:
         for name in ("drop_rate", "spike_rate", "jitter_rate",
@@ -138,8 +129,6 @@ class FaultPlan:
             raise ReproError("max_resends must be >= 1")
         if self.spike_extra < 0 or self.redispatch_latency < 0:
             raise ReproError("spike_extra/redispatch_latency must be >= 0")
-        if self.start_cycle < 0:
-            raise ReproError("start_cycle must be >= 0")
         for death in self.deaths:
             if death.cycle < 1:
                 raise ReproError("core death cycle must be >= 1 (core %d)"
@@ -173,7 +162,7 @@ class FaultPlan:
         ``json.dumps``/``loads`` unchanged — this is the representation
         the batch runner digests for cache keys and ships to workers.
         """
-        payload: Dict[str, Any] = {
+        return {
             "seed": self.seed,
             "drop_rate": self.drop_rate,
             "spike_rate": self.spike_rate,
@@ -193,11 +182,6 @@ class FaultPlan:
             "redispatch": self.redispatch,
             "redispatch_latency": self.redispatch_latency,
         }
-        if self.start_cycle:
-            # elided when 0 (the pre-warm-start behaviour) so every
-            # deployed content-addressed cache key stays byte-identical
-            payload["start_cycle"] = self.start_cycle
-        return payload
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
@@ -287,30 +271,6 @@ class FaultPlan:
         return bool(self.drop_rate or self.spike_rate or self.jitter_rate
                     or self.ack_loss_rate or self.deaths or self.spikes)
 
-    def first_effect_cycle(self) -> float:
-        """Earliest cycle at which the plan can perturb anything —
-        ``inf`` for an inert plan.
-
-        A fault-free snapshot captured strictly *before* this cycle can
-        be forked into a run of this plan (:func:`repro.snapshot.
-        resume`): every decision point at earlier cycles provably
-        returns the fault-free answer, so attaching the plan at the
-        snapshot is indistinguishable from having carried it from
-        cycle 0.
-        """
-        if not self.active:
-            return float("inf")
-        candidates: List[float] = []
-        if (self.drop_rate or self.spike_rate or self.jitter_rate
-                or self.ack_loss_rate):
-            # probabilistic axes can fire at the first gated cycle
-            # (cycle numbering starts at 1)
-            candidates.append(max(self.start_cycle, 1))
-        candidates.extend(d.cycle for d in self.deaths)
-        candidates.extend(max(s.start, self.start_cycle, 1)
-                          for s in self.spikes)
-        return min(candidates)
-
     # -- CLI spec parsing ------------------------------------------------
 
     @classmethod
@@ -321,7 +281,7 @@ class FaultPlan:
         Keys: ``seed=N``, ``drop=P``, ``spike=P``, ``spike_extra=N``,
         ``jitter=P``, ``ackloss=P``, ``die=CORE@CYCLE`` (repeatable),
         ``timeout=N``, ``cap=N``, ``resends=N``, ``redispatch=0|1``,
-        ``redispatch_latency=N``, ``start=CYCLE`` (plan inert before it).
+        ``redispatch_latency=N``.
         """
         kwargs: Dict[str, Any] = {}
         deaths: List[CoreDeath] = []
@@ -364,8 +324,6 @@ class FaultPlan:
                     kwargs["redispatch"] = bool(int(value))
                 elif key == "redispatch_latency":
                     kwargs["redispatch_latency"] = int(value)
-                elif key == "start":
-                    kwargs["start_cycle"] = int(value)
                 else:
                     raise ReproError("unknown --faults key %r" % key)
             except ValueError as exc:

@@ -116,13 +116,6 @@ class FaultEngine:
         path), so delivery — hence simulator progress — is guaranteed.
         """
         plan = self.plan
-        if now < plan.start_cycle:
-            # Plan not yet active: gate the whole ladder on the *send*
-            # cycle, including the ack-loss draw of a message that would
-            # arrive after start_cycle — a message in flight across the
-            # boundary must perturb identically in a warm-forked run,
-            # whose snapshot predates the send.
-            return base
         stats = self.stats
         tracer = self.proc.tracer
         delay = 0
@@ -167,8 +160,6 @@ class FaultEngine:
         core's skipped cycles must stay no-ops for the event scheduler to
         remain bit-identical to the naive loop.
         """
-        if now < self.plan.start_cycle:
-            return False
         if not self.plan.jittered(core.id, now):
             return False
         if not core._runnable_sections(now):

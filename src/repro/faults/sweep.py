@@ -209,181 +209,3 @@ def chaos_sweep(shorts: Sequence[str], drops: Iterable[float],
                 "wall_s": base_report.wall_s + grid_report.wall_s,
             }}
 
-
-# ----------------------------------------------------------------------
-# warm-start grid: fork every cell from one pre-fault snapshot
-# ----------------------------------------------------------------------
-
-def deaths_in_tail(base_cycles: int, start_cycle: int, n_cores: int,
-                   count: int) -> List[CoreDeath]:
-    """Death schedule confined to the ``(start_cycle, base_cycles]``
-    tail, so one fault-free snapshot at *start_cycle* covers every
-    death-count cell of a workload's grid row."""
-    span = max(base_cycles - start_cycle, count + 2)
-    deaths = []
-    for k in range(count):
-        cycle = start_cycle + max(1, span * (k + 1) // (count + 2))
-        deaths.append(CoreDeath(core=n_cores - 1 - k, cycle=cycle))
-    return deaths
-
-
-def _summarize(result: Any) -> Dict[str, Any]:
-    """The cell-identity fingerprint both execution paths are compared
-    on: full architectural state plus the fault/recovery counters."""
-    return {"cycles": result.cycles,
-            "outputs": result.outputs,
-            "final_regs": result.final_regs,
-            "memory_digest": memory_digest(result.final_memory),
-            "fault_stats": result.fault_stats}
-
-
-def _warm_cells_forked(proc: Any, snap_cycle: int,
-                       plans: Sequence[FaultPlan]
-                       ) -> Optional[List[Dict[str, Any]]]:
-    """Run one grid cell per *plan* by ``os.fork``-ing the restored
-    processor — every child gets a copy-on-write view of the shared
-    pre-fault state, so the per-cell cost is the faulted tail alone,
-    with zero per-cell deserialization.  Returns None where fork is
-    unavailable (the caller falls back to restore-per-cell)."""
-    import os
-    import pickle
-
-    if not hasattr(os, "fork"):     # pragma: no cover - non-POSIX
-        return None
-    from ..snapshot import _attach_plan
-
-    summaries: List[Dict[str, Any]] = []
-    for plan in plans:
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:                # pragma: no cover - child process
-            status = 1
-            try:
-                os.close(read_fd)
-                _attach_plan(proc, snap_cycle, plan)
-                blob = pickle.dumps(_summarize(proc.run()))
-                with os.fdopen(write_fd, "wb") as sink:
-                    sink.write(blob)
-                status = 0
-            finally:
-                os._exit(status)    # never unwind into the parent's stack
-        os.close(write_fd)
-        with os.fdopen(read_fd, "rb") as source:
-            blob = source.read()
-        _, exit_status = os.waitpid(pid, 0)
-        if exit_status != 0 or not blob:
-            raise ReproError("warm-start cell (fork) failed for plan %r"
-                             % (plan,))
-        summaries.append(pickle.loads(blob))
-    return summaries
-
-
-def warmstart_sweep(shorts: Sequence[str], drops: Iterable[float],
-                    death_counts: Iterable[int], n_cores: int = 16,
-                    seed: int = 1234, scale: int = 0, data_seed: int = 1,
-                    scheduler: str = "event",
-                    start_frac: float = 0.85) -> Dict[str, Any]:
-    """The chaos grid again (E9 shape), but every cell forks from one
-    pre-fault snapshot instead of replaying the deterministic prefix.
-
-    Per workload: run fault-free once to learn the cycle count, capture
-    a snapshot at ``start_frac`` of it (prefix-only, via
-    :func:`repro.snapshot.capture_prefix`), restore it once, then fork
-    every cell off the restored state (``os.fork`` copy-on-write; a
-    restore-per-cell fallback keeps non-POSIX hosts working).  Cell
-    plans are gated with ``start_cycle`` just past the snapshot
-    (drops/ack losses and deaths all land in the tail) so the fork is
-    provably sound (:meth:`FaultPlan.first_effect_cycle`).  Each cell is
-    also replayed cold from cycle 0 under honest wall-clock timing and
-    the two results are checked bit-identical (cycles, outputs, final
-    registers, memory digest, fault counters).  ``summary.
-    speedup_vs_replay`` is the grid-wide cold/warm wall ratio, with the
-    per-workload capture + restore cost charged to the warm side.
-    """
-    from time import perf_counter
-
-    from ..isa import assemble
-    from ..sim import simulate
-    from ..snapshot import capture_prefix, resume
-
-    drops, death_counts = list(drops), list(death_counts)
-    if not 0.0 < start_frac < 1.0:
-        raise ReproError("start_frac must be in (0, 1), got %r"
-                         % (start_frac,))
-    listings, sizes = _workload_programs(shorts, scale, data_seed)
-    programs = {short: assemble(listings[short]) for short in shorts}
-
-    records: List[Dict[str, Any]] = []
-    cold_wall = warm_wall = capture_wall = 0.0
-    snapshot_bytes = 0
-    for short in shorts:
-        base_result, _ = simulate(programs[short],
-                                  _grid_config(n_cores, scheduler))
-        base = _summarize(base_result)
-        start = max(1, int(base["cycles"] * start_frac))
-
-        t0 = perf_counter()
-        snap = capture_prefix(programs[short], start,
-                              _grid_config(n_cores, scheduler))
-        template = snap.restore()   # shared pre-fault state, forked per cell
-        capture_wall += perf_counter() - t0
-        snapshot_bytes += len(snap.to_bytes())
-
-        plans = [FaultPlan(seed=seed, drop_rate=drop, start_cycle=start + 1,
-                           deaths=tuple(deaths_in_tail(base["cycles"], start,
-                                                       n_cores, n_deaths)))
-                 for drop in drops for n_deaths in death_counts]
-
-        t0 = perf_counter()
-        warms = _warm_cells_forked(template, snap.cycle, plans)
-        if warms is None:           # pragma: no cover - non-POSIX fallback
-            warms = []
-            for plan in plans:
-                result, _ = resume(snap, faults=plan)
-                warms.append(_summarize(result))
-        cell_walls_warm = perf_counter() - t0
-        warm_wall += cell_walls_warm
-        per_cell_warm = cell_walls_warm / len(plans)
-
-        for plan, warm in zip(plans, warms):
-            t0 = perf_counter()
-            cold, _ = simulate(
-                programs[short],
-                _grid_config(n_cores, scheduler,
-                             FaultPlan.from_dict(plan.to_dict())))
-            cell_cold = perf_counter() - t0
-            cold_wall += cell_cold
-            identical = (
-                warm == _summarize(cold)
-                and warm["outputs"] == base["outputs"]
-                and warm["memory_digest"] == base["memory_digest"])
-            stats = warm["fault_stats"] or {}
-            records.append({
-                "benchmark": short, "n": sizes[short],
-                "drop_rate": plan.drop_rate, "deaths": len(plan.deaths),
-                "start_cycle": start,
-                "cycles": warm["cycles"],
-                "base_cycles": base["cycles"],
-                "slowdown": warm["cycles"] / base["cycles"],
-                "retries": stats.get("retries", 0),
-                "redispatches": stats.get("redispatches", 0),
-                "cold_wall_s": cell_cold,
-                "warm_wall_s": per_cell_warm,
-                "speedup": (cell_cold / per_cell_warm
-                            if per_cell_warm else 0.0),
-                "identical": identical,
-            })
-    warm_total = warm_wall + capture_wall
-    return {"n_cores": n_cores, "seed": seed, "scale": scale,
-            "scheduler": scheduler, "start_frac": start_frac,
-            "workloads": list(shorts), "records": records,
-            "summary": {
-                "cells": len(records),
-                "cold_wall_s": cold_wall,
-                "warm_wall_s": warm_wall,
-                "capture_wall_s": capture_wall,
-                "snapshot_bytes": snapshot_bytes,
-                "all_identical": all(r["identical"] for r in records),
-                "speedup_vs_replay": (cold_wall / warm_total
-                                      if warm_total else 0.0),
-            }}

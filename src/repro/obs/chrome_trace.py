@@ -22,50 +22,15 @@ Timestamps are simulated cycles (1 cycle = 1 "microsecond" in the viewer).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from .events import collect_requests, collect_sections, request_what_str
 
 
-def _seek_filter(out: List[Dict[str, Any]],
-                 seek: int) -> List[Dict[str, Any]]:
-    """Restrict a traceEvents list to cycles >= *seek*, keeping it
-    well-formed: metadata survives, duration slices spanning the seek
-    point are clipped to it, and renaming-flow chains are kept (clamped)
-    only when they finish at or after the seek point — a chain sliced
-    mid-arrow would render as a dangling flow."""
-    flow_end: Dict[Any, int] = {}
-    for event in out:
-        if event.get("cat") == "renameflow":
-            key = event["id"]
-            flow_end[key] = max(flow_end.get(key, 0), event["ts"])
-    kept: List[Dict[str, Any]] = []
-    for event in out:
-        ph = event.get("ph")
-        if ph == "M":
-            kept.append(event)
-        elif event.get("cat") == "renameflow":
-            if flow_end.get(event["id"], 0) >= seek:
-                kept.append(dict(event, ts=max(event["ts"], seek)))
-        elif ph == "X":
-            end = event["ts"] + event.get("dur", 0)
-            if end > seek:
-                start = max(event["ts"], seek)
-                kept.append(dict(event, ts=start,
-                                 dur=max(end - start, 1)))
-        elif event.get("ts", 0) >= seek:
-            kept.append(event)
-    return kept
-
-
 def to_chrome_trace(result: Any,
-                    title: str = "repro simulation",
-                    seek: Optional[int] = None) -> Dict[str, Any]:
+                    title: str = "repro simulation") -> Dict[str, Any]:
     """Render ``result.events`` (a run with ``SimConfig.events=True``) as a
-    Chrome trace-event JSON object (``{"traceEvents": [...], ...}``).
-
-    ``seek`` drops everything before that cycle (``repro trace --seek``,
-    the time-travel pairing with snapshot resume)."""
+    Chrome trace-event JSON object (``{"traceEvents": [...], ...}``)."""
     if result.events is None:
         raise ValueError(
             "no event stream on this result: run the simulation with "
@@ -188,19 +153,14 @@ def to_chrome_trace(result: Any,
                                 "name": "noc %s drops" % link,
                                 "ts": w * window, "args": {"drops": value}})
 
-    if seek is not None:
-        out = _seek_filter(out, seek)
-    other: Dict[str, Any] = {
-        "title": title,
-        "scheduler": result.scheduler,
-        "cycles": result.cycles,
-        "sections": result.sections,
-        "instructions": result.instructions,
-    }
-    if seek is not None:
-        other["seek"] = seek
     return {
         "traceEvents": out,
         "displayTimeUnit": "ms",
-        "otherData": other,
+        "otherData": {
+            "title": title,
+            "scheduler": result.scheduler,
+            "cycles": result.cycles,
+            "sections": result.sections,
+            "instructions": result.instructions,
+        },
     }

@@ -5,10 +5,6 @@ directories small on big sweeps) and wrap the payload in an envelope::
 
     {"schema": SCHEMA_VERSION, "key": "<sha256>", "payload": {...}}
 
-A second, binary tier holds content-addressed blobs (snapshot envelopes)
-at ``<root>/blobs/<key[:2]>/<key>.bin``, keyed by the sha256 of the bytes
-themselves.
-
 Reads are **fail-open**: anything suspicious — unreadable file, invalid
 JSON, a non-dict envelope, a stale schema version, a stored key that does
 not match the requested one — is treated as a miss, so a poisoned entry
@@ -45,11 +41,6 @@ class ResultCache:
         #: be recomputed).  Surfaced by ``repro batch`` summaries; never
         #: part of cached payloads.
         self.stats: Dict[str, int] = {"hits": 0, "misses": 0, "healed": 0}
-        #: same counters for the binary blob tier (snapshots); kept
-        #: separate because blob traffic would otherwise swamp the job
-        #: hit-rate the batch summaries report
-        self.blob_stats: Dict[str, int] = {"hits": 0, "misses": 0,
-                                           "healed": 0}
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / (key + ".json")
@@ -96,53 +87,6 @@ class ResultCache:
                 pass
             raise
         return path
-
-    # -- blob tier (repro.snapshot) -----------------------------------
-    #
-    # Binary payloads (snapshot envelopes) live beside the JSON entries
-    # under <root>/blobs/<key[:2]>/<key>.bin, keyed by the sha256 of
-    # exactly the stored bytes.  Content addressing makes integrity
-    # checking free (re-hash on read) and writes idempotent; the JSON
-    # tier's fail-open and atomic-write disciplines carry over verbatim.
-
-    def blob_path(self, key: str) -> Path:
-        return self.root / "blobs" / key[:2] / (key + ".bin")
-
-    def put_blob(self, data: bytes) -> str:
-        """Store *data* content-addressed; returns its sha256 key."""
-        import hashlib
-        key = hashlib.sha256(data).hexdigest()
-        path = self.blob_path(key)
-        if path.exists():       # content-addressed: identical by design
-            return key
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / (".%s.tmp.%d.%d"
-                             % (key, os.getpid(), next(_PUT_COUNTER)))
-        try:
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
-        return key
-
-    def get_blob(self, key: str) -> Optional[bytes]:
-        """The blob stored under *key*, or None on miss or corruption
-        (digest mismatch heals as a miss, same as the JSON tier)."""
-        import hashlib
-        try:
-            data = self.blob_path(key).read_bytes()
-        except OSError:
-            self.blob_stats["misses"] += 1
-            return None
-        if hashlib.sha256(data).hexdigest() != key:
-            self.blob_stats["healed"] += 1
-            return None
-        self.blob_stats["hits"] += 1
-        return data
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.json"))

@@ -89,10 +89,13 @@ def _entry_program(entry: Dict[str, Any], base_dir: Path) -> Any:
         if not path.is_absolute():
             path = base_dir / path
         try:
-            source = path.read_text()
+            source = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise ReproError("cannot read %s: %s"
                              % (path, exc.strerror or exc)) from None
+        except UnicodeDecodeError as exc:
+            raise ReproError("cannot read %s: not a UTF-8 text file (%s)"
+                             % (path, exc)) from None
         if str(path).endswith(".c"):
             return compile_source(source, fork_mode=fork,
                                   fork_loops=fork_loops)

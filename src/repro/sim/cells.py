@@ -73,20 +73,6 @@ class Cell:
         cell.ready_cycle = cycle
         return cell
 
-    # Compact pickle state (repro.snapshot): a positional tuple instead
-    # of the default per-object {slot: value} dict.  Cells are the most
-    # numerous objects in a snapshot (one per renamed location), so this
-    # is the difference between restore being O(graph) fast or dominated
-    # by building hundreds of thousands of throwaway dicts.
-
-    def __getstate__(self) -> Tuple:
-        return (self.value, self.ready_cycle, self.origin, self.is_import,
-                self.waiters)
-
-    def __setstate__(self, state: Tuple) -> None:
-        (self.value, self.ready_cycle, self.origin, self.is_import,
-         self.waiters) = state
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "=%d@%s" % (self.value, self.ready_cycle) if self.ready else "(empty)"
         return "<Cell %s%s>" % (self.origin, state)
@@ -106,13 +92,6 @@ class Timing:
 
     def row(self) -> Tuple:
         return (self.fd, self.rr, self.ew, self.ar, self.ma, self.ret)
-
-    # compact pickle state, one tuple per instruction (see Cell)
-    def __getstate__(self) -> Tuple:
-        return self.row()
-
-    def __setstate__(self, state: Tuple) -> None:
-        self.fd, self.rr, self.ew, self.ar, self.ma, self.ret = state
 
 
 class DynInstr:
@@ -186,17 +165,6 @@ class DynInstr:
             if cell.value is None:
                 return False
         return True
-
-    # compact pickle state (see Cell): the slot order is part of the
-    # snapshot schema — reordering slots needs a SNAPSHOT_SCHEMA_VERSION
-    # bump
-
-    def __getstate__(self) -> Tuple:
-        return tuple(getattr(self, name) for name in DynInstr.__slots__)
-
-    def __setstate__(self, state: Tuple) -> None:
-        for name, value in zip(DynInstr.__slots__, state):
-            setattr(self, name, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<DynInstr %s %s>" % (self.tag, self.instr)

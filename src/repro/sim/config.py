@@ -10,7 +10,7 @@ producer and return the t[0] value").
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..errors import SimulationError
 from ..faults.models import FaultPlan
@@ -106,13 +106,6 @@ class SimConfig:
     #: disables collection and keeps every existing output (goldens,
     #: cache keys, BENCH cycles) byte-identical.
     metrics_window: Optional[int] = None
-    #: capture a full-state snapshot (:mod:`repro.snapshot`) at the top
-    #: of each listed cycle; the captures land on ``Processor.
-    #: checkpoints`` in cycle order.  Labels past the end of the run
-    #: collapse into one final-state snapshot.  None — the default —
-    #: keeps the run loops checkpoint-free and (elided from the wire
-    #: form) every pre-existing cache key byte-identical.
-    checkpoint_cycles: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         check_kernel(self.kernel)
@@ -133,15 +126,6 @@ class SimConfig:
         if self.metrics_window is not None and self.metrics_window < 1:
             raise ValueError("metrics_window must be >= 1 (got %r)"
                              % (self.metrics_window,))
-        if self.checkpoint_cycles is not None:
-            cycles = tuple(sorted({int(c) for c in self.checkpoint_cycles}))
-            if not cycles:
-                raise ValueError("checkpoint_cycles must be non-empty "
-                                 "when set (use None to disable)")
-            if cycles[0] < 1:
-                raise ValueError("checkpoint_cycles must be >= 1 (got %r)"
-                                 % (cycles[0],))
-            self.checkpoint_cycles = cycles
         if self.faults is not None:
             self.faults.validate(self.n_cores)
 
@@ -159,27 +143,24 @@ class SimConfig:
 
         Every field is emitted (no default elision) so the digest of the
         serialized form changes whenever any knob changes, including a
-        knob newly added with a default — with three deliberate
-        exceptions: ``metrics_window`` is elided when None, ``optimize``
-        when False, and ``checkpoint_cycles`` when None.  These knobs
-        postdate deployed content-addressed caches, and their disabled
-        defaults must keep every pre-existing cache key (a sha256 over
-        this dict) byte-identical.  A *set* value is emitted, and should
-        be: metrics and checkpoints ride inside payloads, and an
-        optimized run commits different cycle counts, so the key must
-        fork.  ``collect_occupancy`` is no field but is always emitted as
-        true, for the same keys: it names a retired knob.
+        knob newly added with a default — with two deliberate
+        exceptions: ``metrics_window`` is elided when None and
+        ``optimize`` when False.  These knobs postdate deployed
+        content-addressed caches, and their disabled defaults must keep
+        every pre-existing cache key (a sha256 over this dict)
+        byte-identical.  A *set* value is emitted, and should be:
+        metrics ride inside payloads, and an optimized run commits
+        different cycle counts, so the key must fork.
+        ``collect_occupancy`` is no field but is always emitted as true,
+        for the same keys: it names a retired knob.
         """
         payload: Dict[str, Any] = {}
         for spec in fields(self):
             value = getattr(self, spec.name)
-            if spec.name in ("metrics_window", "checkpoint_cycles") \
-                    and value is None:
+            if spec.name == "metrics_window" and value is None:
                 continue
             if spec.name == "optimize" and not value:
                 continue
-            if spec.name == "checkpoint_cycles":
-                value = list(value)     # tuples are not JSON-native
             payload[spec.name] = (value.to_dict()
                                   if isinstance(value, FaultPlan) else value)
             if spec.name == "trace":

@@ -16,10 +16,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
-
-if TYPE_CHECKING:   # pragma: no cover - cycle guard (snapshot imports sim)
-    from ..snapshot import Snapshot
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..errors import SimulationError
 from ..faults.recovery import FaultEngine
@@ -134,17 +131,6 @@ class Processor:
         self.folded_upto = 0
         self._rng = random.Random(self.cfg.placement_seed)
         self._rr_next = 1 % self.cfg.n_cores
-        #: snapshots captured at cfg.checkpoint_cycles (repro.snapshot),
-        #: in cycle order; _pending_checkpoints is the not-yet-captured
-        #: cursor the run loops poll (one truthiness test per cycle)
-        self.checkpoints: List["Snapshot"] = []
-        self._pending_checkpoints: List[int] = (
-            sorted(self.cfg.checkpoint_cycles)
-            if self.cfg.checkpoint_cycles else [])
-        #: set by repro.snapshot.capture_prefix: abandon the run (raise
-        #: _CaptureDone) once every checkpoint is captured, so a
-        #: capture-only caller never pays for the suffix
-        self._abort_after_checkpoints = False
         #: fault injection + recovery (repro.faults); None — the default —
         #: keeps every hook at a single is-None test
         self.fault_engine: Optional[FaultEngine] = (
@@ -182,8 +168,6 @@ class Processor:
                 raise SimulationError(
                     "cycle budget exhausted at cycle %d: %s"
                     % (self.cycle, self._stall_diagnostic()))
-            if self._pending_checkpoints:
-                self._take_checkpoints(self.cycle)
             self._advance_fold()
             if engine is not None:
                 engine.begin_cycle(self.cycle)
@@ -210,8 +194,6 @@ class Processor:
                 raise SimulationError(
                     "cycle budget exhausted at cycle %d: %s"
                     % (now, self._stall_diagnostic()))
-            if self._pending_checkpoints:
-                self._take_checkpoints(now)
             self._advance_fold()
             if engine is not None:
                 engine.begin_cycle(now)
@@ -249,33 +231,6 @@ class Processor:
                 nxt = self._next_event_cycle(now)
                 if nxt > now + 1:
                     self.cycle = min(nxt, self.cfg.max_cycles + 1) - 1
-
-    def _take_checkpoints(self, now: int) -> None:
-        """Capture every pending checkpoint whose cycle has fully elapsed.
-
-        Called at the loop top of cycle *now*, i.e. at the *end* of cycle
-        ``now - 1``, so a label ``k`` captures the machine after cycle
-        ``k`` completed — resuming it re-enters the loop at ``k + 1``,
-        exactly where the cold run is about to go.  A label landing
-        inside an all-parked cycle jump is materialized here with the
-        counter rewritten: the skipped cycles are provably no-ops, so
-        the labelled state is the state the naive loop would have had.
-        """
-        from ..snapshot import Snapshot, _CaptureDone   # lazy: cycle
-        pending = self._pending_checkpoints
-        while pending and pending[0] <= now - 1:
-            label = pending.pop(0)
-            self.checkpoints.append(Snapshot.capture(self, cycle=label))
-        if not pending and self._abort_after_checkpoints:
-            raise _CaptureDone()
-
-    def _flush_checkpoints(self) -> None:
-        """Collapse checkpoint labels at or past the run's end into one
-        final-state snapshot (captured before the final fold, so a
-        resume replays _result() bit-identically)."""
-        from ..snapshot import Snapshot
-        self._pending_checkpoints = []
-        self.checkpoints.append(Snapshot.capture(self))
 
     def _advance_fold(self) -> None:
         """Dump completed oldest sections into the architectural state (the
@@ -936,8 +891,6 @@ class Processor:
         return result
 
     def _result(self) -> SimResult:
-        if self._pending_checkpoints:
-            self._flush_checkpoints()
         self._advance_fold()      # the final sections complete on the last
         regs, memory = self.final_state()   # cycle, after the cycle's fold
         instrs = self.all_instructions()
@@ -1039,32 +992,17 @@ class Processor:
 
 
 def simulate(program: Program, config: Optional[SimConfig] = None,
-             initial_regs: Optional[Dict[str, int]] = None,
-             resume_from: Optional["Snapshot"] = None) -> Tuple[SimResult, Processor]:
+             initial_regs: Optional[Dict[str, int]] = None
+             ) -> Tuple[SimResult, Processor]:
     """Run *program* on the simulated many-core; returns (result, processor)
     so callers can inspect per-instruction timing.  ``config.kernel``
     selects the simulation kernel; both are bit-identical on every
-    compared result field.
-
-    ``resume_from`` continues a :class:`~repro.snapshot.Snapshot` instead
-    of starting cold; program and config are then validated against the
-    snapshot's provenance (see :func:`repro.snapshot.resume`) and
-    ``initial_regs`` must be None — the captured state already holds
-    them."""
+    compared result field."""
     cfg = config or SimConfig()
     if cfg.optimize:
         # imported lazily: repro.analysis is a consumer of this package
         from ..analysis.opt import optimize_program
         program = optimize_program(program).program
-    if resume_from is not None:
-        from ..snapshot import resume as _resume
-        if initial_regs:
-            raise SimulationError(
-                "initial_regs cannot be overridden when resuming from a "
-                "snapshot — the captured state already holds them")
-        # pass the caller's config (not the fabricated default) so a
-        # bare resume validates only what was actually specified
-        return _resume(resume_from, program=program, config=config)
     proc = Processor(program, config=cfg, initial_regs=initial_regs)
     result = proc.run()
     return result, proc

@@ -75,37 +75,12 @@ class TestFacadeBatch:
 
 
 class TestApiV2:
-    """The v2 facade (snapshot/resume/checkpoints_of) as v3 left it:
-    kernel= is the only way to pick a kernel — the event_driven=
-    constructor argument and the vector kernel are gone."""
+    """What v2 brought as v4 leaves it: kernel= is the only way to pick
+    a kernel (the event_driven= constructor argument and the vector
+    kernel went in v3), and the v2 time-travel entries are gone."""
 
-    _SIM = ("main:\n    movq $5, %rax\n    movq $7, %rbx\n"
-            "    addq %rbx, %rax\n    out %rax\n    hlt\n")
-
-    def test_schema_version_is_three(self):
-        assert api.API_SCHEMA_VERSION == 3
-
-    def test_snapshot_resume_roundtrip(self):
-        prog = api.assemble(self._SIM)
-        cold = api.simulate(prog)
-        snap = api.snapshot(prog, 3)
-        assert snap.cycle == 3
-        warm = api.resume(snap)
-        assert warm.result.cycles == cold.result.cycles
-        assert warm.result.outputs == cold.result.outputs
-        assert warm.result.final_regs == cold.result.final_regs
-
-    def test_simulate_resume_from(self):
-        prog = api.assemble(self._SIM)
-        cold = api.simulate(prog)
-        warm = api.simulate(prog, resume_from=api.snapshot(prog, 3))
-        assert warm.result.cycles == cold.result.cycles
-
-    def test_checkpoints_of(self):
-        prog = api.assemble(self._SIM)
-        cold = api.simulate(prog)
-        snaps = api.checkpoints_of(prog, [2, 10 ** 9])
-        assert [s.cycle for s in snaps] == [2, cold.result.cycles]
+    def test_schema_version_is_four(self):
+        assert api.API_SCHEMA_VERSION == 4
 
     def test_event_driven_is_not_a_constructor_argument(self):
         from repro.sim import SimConfig
@@ -154,8 +129,13 @@ class TestApiV2:
         assert back.kernel == "event"
         assert not caught, "deserialized payloads must not deprecation-warn"
 
-    def test_snapshot_exported_at_package_root(self):
+    def test_time_travel_entries_are_gone(self):
         for name in ("Snapshot", "SnapshotError", "capture_prefix",
                      "resume", "SNAPSHOT_SCHEMA_VERSION"):
-            assert name in repro.__all__
-            assert hasattr(repro, name)
+            assert name not in repro.__all__
+            assert not hasattr(repro, name)
+        for name in ("snapshot", "resume", "checkpoints_of"):
+            assert name not in api.__all__
+            assert not hasattr(api, name)
+        with pytest.raises(TypeError, match="resume_from"):
+            api.simulate(api.assemble(_ASM), resume_from=None)

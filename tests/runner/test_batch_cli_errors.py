@@ -57,6 +57,11 @@ _BAD_SPECS = [
      "job 0: faults must be an object"),
     ("occupancy_off", [dict(_ASM, config={"collect_occupancy": False})],
      "job 0: collect_occupancy must be true"),
+    ("retired_checkpoints", [dict(_ASM, config={"checkpoint_cycles": [5]})],
+     "job 0: unknown SimConfig keys: checkpoint_cycles"),
+    ("retired_fault_start",
+     [dict(_ASM, config={"faults": {"start_cycle": 5}})],
+     "job 0: unknown FaultPlan keys: start_cycle"),
 ]
 
 
@@ -93,6 +98,16 @@ def test_one_bad_entry_rejects_the_whole_spec(tmp_path, capsys):
     assert "job 2: unknown job-spec keys: cores" in captured.err
     assert "[ok]" not in captured.out
     assert not cache_dir.exists()
+
+
+def test_non_utf8_program_file(tmp_path, capsys):
+    (tmp_path / "latin1.s").write_bytes(b"main:\n    hlt  # caf\xe9\n")
+    rc = main(["batch", _write_spec(tmp_path, [{"file": "latin1.s"}])])
+    captured = capsys.readouterr()
+    assert rc == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert "job 0: cannot read" in lines[0] and "UTF-8" in lines[0]
 
 
 def test_missing_spec_file(tmp_path, capsys):

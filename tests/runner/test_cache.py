@@ -100,62 +100,3 @@ class TestCachePoison:
 
     def test_deleted_entry_recomputed(self, tmp_path):
         self._poison(tmp_path, lambda path: path.unlink())
-
-
-class TestBlobTier:
-    """Content-addressed binary blobs (snapshot envelopes)."""
-
-    def test_roundtrip_and_key(self, tmp_path):
-        import hashlib
-        cache = ResultCache(tmp_path)
-        key = cache.put_blob(b"snapshot bytes")
-        assert key == hashlib.sha256(b"snapshot bytes").hexdigest()
-        assert cache.get_blob(key) == b"snapshot bytes"
-        assert cache.blob_stats["hits"] == 1
-
-    def test_layout_is_fanned_out_under_blobs(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = cache.put_blob(b"x")
-        assert cache.blob_path(key) == \
-            tmp_path / "blobs" / key[:2] / (key + ".bin")
-        assert cache.blob_path(key).exists()
-
-    def test_put_is_idempotent(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.put_blob(b"same") == cache.put_blob(b"same")
-        assert len(list((tmp_path / "blobs").rglob("*.bin"))) == 1
-
-    def test_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.get_blob("0" * 64) is None
-        assert cache.blob_stats["misses"] == 1
-
-    def test_corruption_heals_as_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = cache.put_blob(b"pristine")
-        cache.blob_path(key).write_bytes(b"tampered")
-        assert cache.get_blob(key) is None
-        assert cache.blob_stats["healed"] == 1
-
-    def test_blob_survives_a_fresh_handle(self, tmp_path):
-        key = ResultCache(tmp_path).put_blob(b"snapshot bytes")
-        assert ResultCache(tmp_path).get_blob(key) == b"snapshot bytes"
-
-    def test_blobs_are_not_job_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put_blob(b"blob")
-        assert len(cache) == 0
-        cache.put("ab" * 32, {"cycles": 3})
-        assert len(cache) == 1
-
-    def test_blob_traffic_never_touches_job_stats(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = cache.put_blob(b"blob")
-        cache.get_blob(key)
-        cache.get_blob("1" * 64)
-        assert cache.stats == {"hits": 0, "misses": 0, "healed": 0}
-
-    def test_no_temp_litter(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put_blob(b"payload")
-        assert not list(tmp_path.rglob(".*tmp*"))

@@ -36,7 +36,6 @@ _CHANGED = {
     "kernel": "naive",
     "optimize": True,
     "metrics_window": 64,
-    "checkpoint_cycles": (10,),
 }
 
 _ANSWER = "main:\n    movq $41, %rax\n    incq %rax\n    out %rax\n    hlt\n"

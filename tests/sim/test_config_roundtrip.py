@@ -46,8 +46,7 @@ _plans = st.builds(
     backoff_cap=st.integers(min_value=8, max_value=64),
     max_resends=st.integers(min_value=1, max_value=8),
     redispatch=st.booleans(),
-    redispatch_latency=st.integers(min_value=0, max_value=32),
-    start_cycle=st.integers(min_value=0, max_value=5000))
+    redispatch_latency=st.integers(min_value=0, max_value=32))
 
 _configs = st.builds(
     SimConfig,
@@ -68,7 +67,6 @@ _configs = st.builds(
     events=st.booleans(),
     max_cycles=st.integers(min_value=1000, max_value=2_000_000),
     metrics_window=st.sampled_from([None, 1, 64, 1000]),
-    checkpoint_cycles=st.sampled_from([None, (5,), (3, 9, 100)]),
     faults=st.one_of(st.none(), _plans))
 
 
@@ -96,15 +94,15 @@ class TestRoundTrip:
         assert SimConfig.from_dict(wire) == config
 
     def test_every_field_emitted(self):
-        # metrics_window, optimize and checkpoint_cycles are the three
-        # deliberate elisions: their defaults (None/False/None) are
-        # omitted from the wire dict so pre-existing cache keys stay
-        # byte-identical (see SimConfig.to_dict); collect_occupancy is
-        # no field but rides the wire as a constant for the same reason
+        # metrics_window and optimize are the two deliberate elisions:
+        # their defaults (None/False) are omitted from the wire dict so
+        # pre-existing cache keys stay byte-identical (see
+        # SimConfig.to_dict); collect_occupancy is no field but rides
+        # the wire as a constant for the same reason
         from dataclasses import fields
         payload = SimConfig().to_dict()
         expected = ({f.name for f in fields(SimConfig)}
-                    - {"metrics_window", "optimize", "checkpoint_cycles"}
+                    - {"metrics_window", "optimize"}
                     | {"collect_occupancy"})
         assert set(payload) == expected
 
@@ -121,35 +119,25 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="metrics_window"):
             SimConfig(metrics_window=0)
 
-    def test_checkpoint_cycles_elided_only_when_none(self):
-        assert "checkpoint_cycles" not in SimConfig().to_dict()
-        payload = SimConfig(checkpoint_cycles=(9, 3, 3)).to_dict()
-        # normalized on construction: deduped, sorted, a JSON-ready list
-        assert payload["checkpoint_cycles"] == [3, 9]
-        clone = SimConfig.from_dict(payload)
-        assert clone.checkpoint_cycles == (3, 9)
-
-    def test_checkpoint_cycles_validated(self):
-        with pytest.raises(ValueError, match="checkpoint_cycles"):
-            SimConfig(checkpoint_cycles=())
-        with pytest.raises(ValueError, match="checkpoint_cycles"):
-            SimConfig(checkpoint_cycles=(0,))
-
-    def test_start_cycle_elided_only_when_zero(self):
-        assert "start_cycle" not in FaultPlan(drop_rate=0.1).to_dict()
-        payload = FaultPlan(drop_rate=0.1, start_cycle=500).to_dict()
-        assert payload["start_cycle"] == 500
-        assert FaultPlan.from_dict(payload).start_cycle == 500
-
 
 class TestRejection:
-    def test_unknown_simconfig_key(self):
-        with pytest.raises(SimulationError, match="flux_capacitor"):
-            SimConfig.from_dict({"flux_capacitor": 1})
+    # checkpoint_cycles and start_cycle are retired knobs: a payload
+    # that sets one must fail by name, not run as if it were absent
+    @pytest.mark.parametrize("key, value", [
+        ("flux_capacitor", 1),
+        ("checkpoint_cycles", [5]),
+    ], ids=["flux_capacitor", "checkpoint_cycles"])
+    def test_unknown_simconfig_key(self, key, value):
+        with pytest.raises(SimulationError, match=key):
+            SimConfig.from_dict({key: value})
 
-    def test_unknown_faultplan_key(self):
-        with pytest.raises(ReproError, match="gremlins"):
-            FaultPlan.from_dict({"gremlins": True})
+    @pytest.mark.parametrize("key, value", [
+        ("gremlins", True),
+        ("start_cycle", 5),
+    ], ids=["gremlins", "start_cycle"])
+    def test_unknown_faultplan_key(self, key, value):
+        with pytest.raises(ReproError, match=key):
+            FaultPlan.from_dict({key: value})
 
     def test_unknown_nested_death_key(self):
         plan = FaultPlan(deaths=(CoreDeath(core=0, cycle=5),)).to_dict()

@@ -20,6 +20,7 @@ a field mismatch naming the workload.  The Table 1 runs also log every
 renaming-request step, so the lazy request scheduler is checked step
 by step as well: it must advance each request at exactly the cycles the
 naive loop does, and skip only steps the naive loop spends re-checking.
+The same runs are checked read by read in test_reads_from.py.
 """
 
 import collections
@@ -32,8 +33,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.faults import CoreDeath, FaultPlan
 from repro.fork import fork_transform
 from repro.minic import compile_source
-from repro.sim import Processor, SimConfig, simulate
+from repro.sim import SimConfig, simulate
 from repro.workloads import WORKLOADS, get_workload
+
+from .reads_from import Recorder, read_mismatches
 
 ALL_SHORTS = [w.short for w in WORKLOADS]
 
@@ -112,6 +115,21 @@ long main() {
 }
 """
 
+#: compiled with ``fork_loops=True``, which puts each loop iteration's
+#: body in its own section
+FORK_LOOP = """
+long A[10] = {5, 2, 8, 1, 9, 3, 7, 4, 6, 0};
+long main() {
+    long i;
+    long s = 0;
+    for (i = 0; i < 10; i = i + 1) {
+        s = s + A[i] * (i + 1);
+        out(s);
+    }
+    return s;
+}
+"""
+
 
 class TestFixedCorpus:
     @pytest.mark.parametrize("n_cores", [1, 2, 5, 64])
@@ -143,19 +161,7 @@ class TestFixedCorpus:
         assert_identical(prog, n_cores=4)
 
     def test_fork_loops(self):
-        src = """
-        long A[10] = {5, 2, 8, 1, 9, 3, 7, 4, 6, 0};
-        long main() {
-            long i;
-            long s = 0;
-            for (i = 0; i < 10; i = i + 1) {
-                s = s + A[i] * (i + 1);
-                out(s);
-            }
-            return s;
-        }
-        """
-        prog = compile_source(src, fork_mode=True, fork_loops=True)
+        prog = compile_source(FORK_LOOP, fork_mode=True, fork_loops=True)
         assert_identical(prog, n_cores=8)
 
     def test_traces_match_cycle_for_cycle(self):
@@ -232,7 +238,7 @@ def _walk_state(req, now):
                                 max(req.wake_cycle, now + 1))
 
 
-class _StepRecorder(Processor):
+class _StepRecorder(Recorder):
     """A processor that logs its renaming-request steps.  Both kernels
     step requests only through ``_step_request``; this wraps it."""
 
@@ -264,7 +270,8 @@ StepLog = collections.namedtuple("StepLog",
 
 @functools.lru_cache(maxsize=None)
 def _recorded(short, kernel, chaos):
-    """One Table 1 run with its :class:`StepLog`: fault-free with the
+    """One Table 1 run with its :class:`StepLog` and its wrong reads
+    (:func:`~tests.sim.reads_from.read_mismatches`): fault-free with the
     core-state trace, or under the workload's chaos plan."""
     if chaos:
         config = SimConfig(
@@ -276,8 +283,9 @@ def _recorded(short, kernel, chaos):
             metrics_window=METRICS_WINDOW)
     proc = _StepRecorder(_program(short), config)
     result = proc.run()
-    return result, StepLog(proc.steps, proc.repeats, proc.moves, proc.span,
-                           len(proc.requests))
+    return (result, StepLog(proc.steps, proc.repeats, proc.moves, proc.span,
+                            len(proc.requests)),
+            read_mismatches(proc))
 
 
 def _fault_free(short, kernel):

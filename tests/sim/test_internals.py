@@ -11,10 +11,6 @@ from repro.machine import run_forked
 from repro.minic import compile_source
 from repro.paper import paper_array, sum_forked_program
 from repro.sim import Processor, SimConfig, simulate
-from repro.snapshot import Snapshot, capture_prefix, resume
-
-from .test_differential import COMPARED_FIELDS
-from .test_line_walks import sum_config, sum_reduction
 
 
 class TestProgressiveFold:
@@ -217,29 +213,6 @@ class TestLineReplies:
         assert not store.is_import and store.value == 99
         # the older sections read the DMH's t[1], not the younger store
         assert req.visited[0].maat[req.addr + WORD].value == 20
-
-    @pytest.mark.parametrize("kernel", ["naive", "event"])
-    def test_resume_after_line_installs(self, kernel):
-        prog, regs, _ = sum_reduction(3)
-        config = sum_config(3, kernel=kernel)
-        cold, proc = simulate(prog, config, initial_regs=regs)
-        # the first install whose return path holds several sections
-        cycle = min(r.reply_cycle for r in proc.requests
-                    if r.line_values and r.visited)
-        snap = Snapshot.from_bytes(
-            capture_prefix(prog, cycle, config, initial_regs=regs)
-            .to_bytes())
-        installed = [r for r in snap.restore().requests
-                     if r.done and r.line_values and r.visited]
-        assert installed
-        for req in installed:
-            for word, _ in req.line_values:
-                holders = req.visited + ([] if word == req.addr
-                                         else [req.requester])
-                assert len({id(sec.maat[word]) for sec in holders}) == 1
-        warm, _ = resume(snap, program=prog, config=config)
-        for name in COMPARED_FIELDS:
-            assert getattr(warm, name) == getattr(cold, name), name
 
     @pytest.mark.parametrize("kernel", ["naive", "event"])
     def test_neighbour_coalesces_behind_inflight_line(self, kernel):

@@ -225,6 +225,24 @@ class TestCLI:
         assert main(["run", "/nonexistent/prog.c"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "batch", "lint",
+                                         "compile"])
+    def test_directory_is_one_error_line(self, command, tmp_path, capsys):
+        assert main([command, str(tmp_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(tmp_path) in lines[0]
+
+    @pytest.mark.parametrize("command", ["simulate", "compile"])
+    def test_non_utf8_file_is_one_error_line(self, command, tmp_path,
+                                             capsys):
+        path = tmp_path / "latin1.c"
+        path.write_bytes(b"long main() { return 0; } /* caf\xe9 */\n")
+        assert main([command, str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(path) in lines[0] and "UTF-8" in lines[0]
+
     def test_bad_source(self, tmp_path, capsys):
         path = tmp_path / "bad.c"
         path.write_text("long main() { return undeclared; }")
@@ -492,76 +510,19 @@ class TestVersion:
         assert repro.__version__ == match.group(1)
 
 
-class TestSnapshotCLI:
-    """--checkpoint / --snapshot-dir / --resume-from / trace --seek /
-    chaos --warm-start."""
+class TestRetiredTimeTravel:
+    """Snapshot/resume is gone: its flags are argparse errors."""
 
-    def _capture(self, asm_file, tmp_path, capsys):
-        snap_dir = str(tmp_path / "snaps")
-        assert main(["simulate", asm_file, "--checkpoint", "3",
-                     "--snapshot-dir", snap_dir]) == 0
-        out = capsys.readouterr().out
-        (line,) = [l for l in out.splitlines()
-                   if l.startswith("# snapshot @cycle 3")]
-        return snap_dir, line.split()[-1]
-
-    def test_checkpoint_publishes_content_addressed_key(
-            self, asm_file, tmp_path, capsys):
-        snap_dir, key = self._capture(asm_file, tmp_path, capsys)
-        assert len(key) == 64 and int(key, 16) >= 0
-        from repro.runner import ResultCache
-        from repro.snapshot import Snapshot
-        data = ResultCache(snap_dir).get_blob(key)
-        assert Snapshot.from_bytes(data).cycle == 3
-
-    def test_resume_from_key_matches_cold(self, asm_file, tmp_path,
-                                          capsys):
-        assert main(["simulate", asm_file]) == 0
-        cold = capsys.readouterr().out
-        snap_dir, key = self._capture(asm_file, tmp_path, capsys)
-        assert main(["simulate", asm_file, "--resume-from", key,
-                     "--snapshot-dir", snap_dir]) == 0
-        warm = capsys.readouterr().out
-        assert warm.splitlines()[0] == cold.splitlines()[0] == "42"
-        assert [l for l in warm.splitlines() if l.startswith("# 4")] == \
-            [l for l in cold.splitlines() if l.startswith("# 4")]
-
-    def test_resume_from_path(self, asm_file, tmp_path, capsys):
-        snap_dir, key = self._capture(asm_file, tmp_path, capsys)
-        from repro.runner import ResultCache
-        blob_path = str(ResultCache(snap_dir).blob_path(key))
-        assert main(["simulate", asm_file, "--resume-from",
-                     blob_path]) == 0
-        assert capsys.readouterr().out.splitlines()[0] == "42"
-
-    def test_resume_key_without_dir_is_an_error(self, asm_file, capsys):
-        assert main(["simulate", asm_file,
-                     "--resume-from", "a" * 64]) == 1
-        assert "--snapshot-dir" in capsys.readouterr().err
-
-    def test_missing_key_is_an_error(self, asm_file, tmp_path, capsys):
-        assert main(["simulate", asm_file, "--resume-from", "b" * 64,
-                     "--snapshot-dir", str(tmp_path / "empty")]) == 1
-        assert "not found" in capsys.readouterr().err
-
-    def test_trace_seek_filters_events(self, asm_file, tmp_path, capsys):
-        out_path = str(tmp_path / "trace.json")
-        assert main(["trace", asm_file, "-o", out_path,
-                     "--seek", "4"]) == 0
-        capsys.readouterr()
-        with open(out_path) as handle:
-            data = json.load(handle)
-        assert data["otherData"]["seek"] == 4
-        assert all(event["ts"] >= 4
-                   for event in data["traceEvents"]
-                   if event.get("ph") != "M")
-
-    def test_chaos_warm_start_grid(self, capsys):
-        assert main(["chaos", "--warm-start", "0.8", "--cores", "8",
-                     "--drops", "0.0", "0.1", "--deaths", "0", "1",
-                     "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        summary = payload["summary"]
-        assert summary["cells"] == 3 * 2 * 2
-        assert summary["all_identical"]
-        assert all(rec["identical"] for rec in payload["records"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "{file}", "--checkpoint", "3"],
+        ["simulate", "{file}", "--snapshot-dir", "snaps"],
+        ["simulate", "{file}", "--resume-from", "a" * 64],
+        ["trace", "{file}", "--seek", "4"],
+        ["chaos", "--warm-start", "0.8"],
+    ], ids=["checkpoint", "snapshot_dir", "resume_from", "seek",
+            "warm_start"])
+    def test_removed_flag_is_a_usage_error(self, asm_file, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(file=asm_file) for arg in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""Cold start: ``import repro`` loads the simulator, not an event loop."""
+"""Cold start: ``import repro`` loads the simulator, not an event loop
+and no retired subsystem."""
 
 import os
 import subprocess
@@ -21,4 +22,4 @@ def test_import_repro_loads_no_event_loop():
     assert "asyncio" not in loaded
     subpackages = {name.split(".")[1] for name in loaded
                    if name.startswith("repro.")}
-    assert "serve" not in subpackages
+    assert subpackages.isdisjoint({"serve", "snapshot"})
