@@ -37,12 +37,12 @@ def bench_figure10_timing(benchmark):
         ["sections", 5, result.sections],
         ["result (rax)", 15, result.return_value],
         ["1-8 stage cycles (fd rr ew ar ma ret)",
-         "(8, 9, 10, 11, 14, 15)", str(i18.timing.row())],
+         "(8, 9, 10, 11, 14, 15)", str(i18.stage_cycles())],
         ["core 1 fetch cycles", "1..11",
-         "%d..%d" % (root.instructions[0].timing.fd,
-                     root.instructions[-1].timing.fd)],
+         "%d..%d" % (root.instructions[0].fd,
+                     root.instructions[-1].fd)],
         ["section 2 first fetch", 8,
-         proc.order[1].instructions[0].timing.fd],
+         proc.order[1].instructions[0].fd],
         ["total fetch cycles", fetch_cycles(0), result.fetch_end],
         ["total retire cycles", retire_cycles(0), result.retire_end],
     ]
@@ -50,7 +50,7 @@ def bench_figure10_timing(benchmark):
                  ["quantity", "paper", "measured"], rows)
     text += "\n\n" + proc.timing_table()
     emit("fig10_timing", text)
-    assert i18.timing.row() == (8, 9, 10, 11, 14, 15)
+    assert i18.stage_cycles() == (8, 9, 10, 11, 14, 15)
     assert result.sections == 5
     assert abs(result.fetch_end - fetch_cycles(0)) <= 4
     assert abs(result.retire_end - retire_cycles(0)) <= 8

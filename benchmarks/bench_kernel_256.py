@@ -47,13 +47,17 @@ def _time_kernels():
         for _ in range(_ROUNDS):
             for kernel in _KERNELS:
                 config = SimConfig(n_cores=_N_CORES, kernel=kernel)
-                # drop the previous run's cyclic garbage outside the
-                # timed region: 40 chip-sized object graphs back to back
-                # otherwise skew the later runs
+                # start each timed run with empty collector generations,
+                # so no collection of earlier allocations lands in its
+                # set-up (Processor.run suspends the collector itself)
                 gc.collect()
                 start = time.perf_counter()
-                result, _ = simulate(prog, config)
+                result, proc = simulate(prog, config)
                 walls[kernel].append(time.perf_counter() - start)
+                # a dropped run is freed by refcount: release its
+                # chip-sized graph after the timer stops, not inside the
+                # next run's timer
+                del proc
                 results[kernel] = result
         # the kernel buys wall time, never simulated behaviour
         ref, res = results["naive"], results["event"]

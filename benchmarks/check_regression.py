@@ -128,8 +128,11 @@ def run_fast_path(rounds: int = 3) -> dict:
                 config = SimConfig(n_cores=64, stack_shortcut=True,
                                    kernel=mode)
                 start = time.perf_counter()
-                result, _ = simulate(prog, config)
+                result, proc = simulate(prog, config)
                 walls[mode][short] = time.perf_counter() - start
+                # a dropped run is freed by refcount: release it after
+                # the timer stops, not inside the next run's timer
+                del proc
                 cycles[short] = result.cycles
         round_walls.append(walls)
 
@@ -208,12 +211,17 @@ def run_kernel_256(rounds: int = 2) -> dict:
             results = {}
             for kernel in ("naive", "event"):
                 config = SimConfig(n_cores=KERNEL_256_CORES, kernel=kernel)
-                # keep the previous run's cyclic garbage out of the
-                # timed region (same discipline as bench_kernel_256)
+                # start each timed run with empty collector generations,
+                # so no collection of earlier allocations lands in its
+                # set-up (Processor.run suspends the collector itself;
+                # same discipline as bench_kernel_256)
                 gc.collect()
                 start = time.perf_counter()
-                result, _ = simulate(prog, config)
+                result, proc = simulate(prog, config)
                 walls[kernel][short] = time.perf_counter() - start
+                # a dropped run is freed by refcount: release it after
+                # the timer stops, not inside the next run's timer
+                del proc
                 results[kernel] = result
                 cycles[short] = result.cycles
             # timing is only meaningful if behaviour stayed identical
@@ -419,16 +427,16 @@ def check_artifact_census(gate: Gate) -> None:
     ignored — an unknown artifact means someone added a benchmark without
     deciding whether its drift is a regression."""
     print("artifact census (benchmarks/results/BENCH_*.json):")
-    known = set(GATED_BASELINES) | set(IGNORED_ARTIFACTS)
     for path in sorted(RESULTS_DIR.glob("BENCH_*.json")):
         name = path.stem[len("BENCH_"):]
-        if name in IGNORED_ARTIFACTS:
-            print("  skip %s (degradation artifact, not gated)"
-                  % path.name)
-            continue
-        gate.check(name in known,
-                   "%s is neither gated nor listed in IGNORED_ARTIFACTS"
-                   % path.name)
+        if name in GATED_BASELINES:
+            gate.check(True, "%s is gated" % path.name)
+        elif name in IGNORED_ARTIFACTS:
+            gate.check(True, "%s is listed in IGNORED_ARTIFACTS "
+                       "(degradation artifact, not gated)" % path.name)
+        else:
+            gate.check(False, "%s is neither gated nor listed in "
+                       "IGNORED_ARTIFACTS" % path.name)
 
 
 def main(argv=None) -> int:

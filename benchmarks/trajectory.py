@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
@@ -40,6 +41,12 @@ TRAJECTORY_SCHEMA_VERSION = 1
 
 TRAJECTORY_PATH = RESULTS_DIR / "TRAJECTORY.jsonl"
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: a row's ``commit``: a short hash, marked ``+dirty`` when the measured
+#: tree had tracked changes on top of that commit
+COMMIT_PATTERN = re.compile(r"[0-9a-f]{4,40}(\+dirty)?")
+
 #: fields every row must carry (type-checked by validate_row)
 REQUIRED_FIELDS = {
     "schema_version": int,
@@ -49,18 +56,26 @@ REQUIRED_FIELDS = {
 }
 
 
-def _git_commit() -> Optional[str]:
-    """Short commit hash of the working tree, or None outside git /
-    without a git binary (rows stay useful either way)."""
+def _git_commit(root: Path = REPO_ROOT) -> Optional[str]:
+    """Short commit hash of the working tree at *root*, with ``+dirty``
+    appended when tracked files differ from that commit (a gate run
+    before its change is committed measures the change, not HEAD).
+    None outside git, without a git binary, or when the tree's state
+    cannot be read (rows stay useful either way)."""
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", *args], cwd=str(root),
+                              capture_output=True, text=True, timeout=10,
+                              check=False)
+
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=str(Path(__file__).resolve().parent.parent),
-            capture_output=True, text=True, timeout=10, check=False)
+        head = git("rev-parse", "--short", "HEAD")
+        status = git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.SubprocessError):
         return None
-    commit = out.stdout.strip()
-    return commit if out.returncode == 0 and commit else None
+    commit = head.stdout.strip()
+    if head.returncode != 0 or not commit or status.returncode != 0:
+        return None
+    return commit + "+dirty" if status.stdout.strip() else commit
 
 
 def host_metrics_digest(host_metrics: Optional[Dict[str, Any]]) -> Optional[str]:
@@ -171,6 +186,11 @@ def validate_row(row: Any) -> List[str]:
                                kind.__name__))
     if row.get("schema_version") not in (None, TRAJECTORY_SCHEMA_VERSION):
         problems.append("unknown schema_version %r" % row["schema_version"])
+    commit = row.get("commit")
+    if commit is not None and not (isinstance(commit, str)
+                                   and COMMIT_PATTERN.fullmatch(commit)):
+        problems.append("field 'commit' is %r, expected a short hash, "
+                        "optionally marked +dirty" % (commit,))
     return problems
 
 

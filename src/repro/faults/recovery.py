@@ -37,6 +37,7 @@ keeping the dependency one-way: sim -> faults.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, Optional
 
 from ..errors import SimulationError
@@ -72,10 +73,18 @@ class FaultStats:
 
 
 class FaultEngine:
-    """Runtime side of a :class:`FaultPlan`, owned by one Processor."""
+    """Runtime side of a :class:`FaultPlan`, owned by one Processor.
+
+    The processor and its cores hold the engine, so the engine holds the
+    processor weakly (a strong reference back would make every finished
+    run a reference cycle) and keeps the event tracer it emits to.  It
+    reaches the processor only when a core dies or a placement must
+    avoid a dead one.
+    """
 
     def __init__(self, proc: Any, plan: FaultPlan) -> None:
-        self.proc = proc
+        self._proc = weakref.ref(proc)
+        self.tracer = proc.tracer
         self.plan = plan
         self.stats = FaultStats()
         #: scheduled deaths not yet applied, soonest first
@@ -90,7 +99,7 @@ class FaultEngine:
         """Apply every scheduled death whose cycle has arrived."""
         while self._deaths and self._deaths[0].cycle <= now:
             death = self._deaths.pop(0)
-            self._kill_core(self.proc.cores[death.core], now)
+            self._kill_core(self._proc().cores[death.core], now)
 
     def next_scheduled(self, now: int) -> Optional[int]:
         """Earliest future scheduled-fault cycle: bounds the event
@@ -117,7 +126,7 @@ class FaultEngine:
         """
         plan = self.plan
         stats = self.stats
-        tracer = self.proc.tracer
+        tracer = self.tracer
         delay = 0
         attempt = 0
         while (attempt < plan.max_resends
@@ -165,9 +174,9 @@ class FaultEngine:
         if not core._runnable_sections(now):
             return False
         self.stats.jitter_cycles += 1
-        if self.proc.tracer is not None:
-            self.proc.tracer.emit(now, "fault_injected", fault="jitter",
-                                  core=core.id)
+        if self.tracer is not None:
+            self.tracer.emit(now, "fault_injected", fault="jitter",
+                             core=core.id)
         return True
 
     # ------------------------------------------------------------------
@@ -186,8 +195,8 @@ class FaultEngine:
         core.parked = True
         self.any_dead = True
         self.stats.deaths += 1
-        if self.proc.tracer is not None:
-            self.proc.tracer.emit(now, "core_dead", core=core.id)
+        if self.tracer is not None:
+            self.tracer.emit(now, "core_dead", core=core.id)
         victims = sorted(core.open_secs, key=lambda s: s.order_index)
         if self.plan.redispatch:
             for sec in victims:
@@ -206,22 +215,22 @@ class FaultEngine:
         target.hosted.append(sec)
         target.open_secs.append(sec)
         self.stats.redispatches += 1
-        if self.proc.tracer is not None:
-            self.proc.tracer.emit(now, "section_redispatch", sid=sec.sid,
-                                  src=dead_core.id, dst=target.id,
-                                  first_fetch=first_fetch)
+        if self.tracer is not None:
+            self.tracer.emit(now, "section_redispatch", sid=sec.sid,
+                             src=dead_core.id, dst=target.id,
+                             first_fetch=first_fetch)
         if target.parked:
             # Same contract as fork_section: schedule the time wake and
             # mark the span blocked from the cycle the work became
             # visible, so occupancy accounting matches the naive loop.
-            self.proc.schedule_wake(first_fetch, target)
+            self._proc().schedule_wake(first_fetch, target)
             if target._blocked_from is None or now < target._blocked_from:
                 target._blocked_from = now
 
     def pick_live_core(self) -> Any:
         """Least-loaded live core (ties to the lowest id) — the failover
         placement."""
-        live = [c for c in self.proc.cores if not c.dead]
+        live = [c for c in self._proc().cores if not c.dead]
         if not live:
             raise SimulationError("every core has fail-stopped — nothing "
                                   "left to run on")
@@ -230,7 +239,7 @@ class FaultEngine:
     def live_core_from(self, core_id: int) -> int:
         """First live core at or after *core_id* (wrapping): keeps the
         round-robin and random placement policies off dead cores."""
-        cores = self.proc.cores
+        cores = self._proc().cores
         n = len(cores)
         for step in range(n):
             candidate = (core_id + step) % n

@@ -445,9 +445,8 @@ def derive_cycle_metrics(proc: Any, window: int) -> Dict[str, Any]:
         return values
 
     instrs = proc.all_instructions()
-    fetched = counted(d.timing.fd for d in instrs)
-    retired = counted(d.timing.ret for d in instrs
-                      if d.timing.ret is not None)
+    fetched = counted(d.fd for d in instrs)
+    retired = counted(d.ret for d in instrs if d.ret is not None)
     forks = counted(sec.created_cycle for sec in proc.sections
                     if sec.created_cycle >= 1)
     completions = counted(sec.completed_cycle for sec in proc.sections

@@ -110,8 +110,8 @@ class _SectionView:
                           if sec.completed_cycle is not None else horizon)
         self.first_fetch = sec.first_fetch_cycle
         instrs = sec.instructions
-        self.start = instrs[0].timing.fd if instrs else None
-        self.fetch_set = frozenset(d.timing.fd for d in instrs)
+        self.start = instrs[0].fd if instrs else None
+        self.fetch_set = frozenset(d.fd for d in instrs)
         transit: List[Tuple[int, int]] = []
         wait_reg: List[Tuple[int, int]] = []
         wait_mem: List[Tuple[int, int]] = []
@@ -127,9 +127,9 @@ class _SectionView:
         self.fault = _IntervalSet(fault_windows or [])
         # loads sitting in the LSQ between address rename and memory access
         self.load_wait = _IntervalSet(
-            (d.timing.ar, d.timing.ma if d.timing.ma is not None else horizon)
+            (d.ar, d.ma if d.ma is not None else horizon)
             for d in instrs
-            if d.is_load and d.timing.ar is not None)
+            if d.is_load and d.ar is not None)
 
     def live_at(self, cycle: int) -> bool:
         return self.created < cycle <= self.completed

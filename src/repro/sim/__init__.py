@@ -11,7 +11,7 @@ Quick use::
     print(proc.timing_table())      # the paper's Figure 10
 """
 
-from .cells import Cell, DynInstr, Timing
+from .cells import Cell, DynInstr
 from .config import SimConfig, figure10_config
 from .core import Core
 from .noc import MeshNoc, UniformNoc, make_noc
@@ -23,6 +23,6 @@ from .stats import CORE_STATES, STATE_CODES, SimResult, request_latency_stats
 __all__ = [
     "CORE_STATES", "Cell", "Core", "DynInstr", "MeshNoc", "Processor",
     "RenameRequest", "STATE_CODES", "SectionState", "SimConfig", "SimResult",
-    "Timing", "UniformNoc", "figure10_config", "make_noc",
+    "UniformNoc", "figure10_config", "make_noc",
     "request_latency_stats", "simulate",
 ]

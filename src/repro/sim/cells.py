@@ -14,11 +14,7 @@ IQ/LSQ, stalled fetch stages, remote renaming requests) simply wait until
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .section import SectionState
+from typing import Dict, List, Optional, Tuple
 
 from ..isa.instructions import Instruction
 
@@ -78,40 +74,38 @@ class Cell:
         return "<Cell %s%s>" % (self.origin, state)
 
 
-@dataclass
-class Timing:
-    """Cycle stamps of one dynamic instruction through the six stages
-    (None = the stage did not apply, e.g. no ar/ma for register ops)."""
-
-    fd: Optional[int] = None
-    rr: Optional[int] = None
-    ew: Optional[int] = None
-    ar: Optional[int] = None
-    ma: Optional[int] = None
-    ret: Optional[int] = None
-
-    def row(self) -> Tuple:
-        return (self.fd, self.rr, self.ew, self.ar, self.ma, self.ret)
-
-
 class DynInstr:
-    """One dynamic instruction flowing through a core's pipeline."""
+    """One dynamic instruction flowing through a core's pipeline.
+
+    It names its section by ``sid`` (an index into ``Processor.sections``,
+    offset by one), not by reference: a section holds its instructions, so
+    a reference back would make every finished run a reference cycle that
+    only the cyclic collector can free.  The six stage slots ``fd`` ..
+    ``ret`` hold the cycle each stage of Figure 9 handled the instruction
+    (None = the stage did not apply, e.g. no ``ar``/``ma`` for register
+    ops).
+    """
 
     __slots__ = (
-        "instr", "section", "index", "timing",
+        "instr", "sid", "index", "fd", "rr", "ew", "ar", "ma", "ret",
         "src_cells", "dest_cells", "computed_at_fetch",
         "is_load", "is_store", "addr_src_cells", "addr_value",
         "load_src_cell", "mem_dest_cell", "mem_done", "executed",
         "control_resolved", "missing_srcs", "addr_regs",
     )
 
-    def __init__(self, instr: Instruction, section: "SectionState",
-                 index: int) -> None:
+    def __init__(self, instr: Instruction, sid: int, index: int,
+                 fd: int) -> None:
         meta = instr.meta
         self.instr = instr
-        self.section = section
+        self.sid = sid                          #: the section's creation id
         self.index = index                      #: 0-based ordinal in section
-        self.timing = Timing()
+        self.fd = fd
+        self.rr: Optional[int] = None
+        self.ew: Optional[int] = None
+        self.ar: Optional[int] = None
+        self.ma: Optional[int] = None
+        self.ret: Optional[int] = None
         #: register sources: name -> Cell (filled at rename)
         self.src_cells: Dict[str, Cell] = {}
         #: register destinations: name -> Cell
@@ -132,9 +126,13 @@ class DynInstr:
         #: registers needed to form the effective address
         self.addr_regs: Tuple[str, ...] = ()
 
+    def stage_cycles(self) -> Tuple[Optional[int], ...]:
+        """(fd, rr, ew, ar, ma, ret): one row of Figure 10."""
+        return (self.fd, self.rr, self.ew, self.ar, self.ma, self.ret)
+
     @property
     def tag(self) -> str:
-        return "%d-%d" % (self.section.sid, self.index + 1)
+        return "%d-%d" % (self.sid, self.index + 1)
 
     # plain loops testing ``cell.value is None`` directly, not all(...)
     # genexprs over the ``ready`` property: these run once per queue entry

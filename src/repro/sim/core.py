@@ -16,9 +16,8 @@ its example), a stalled fetch yields to another runnable hosted section.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
-
-from typing import TYPE_CHECKING
+import weakref
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .processor import Processor
@@ -46,11 +45,31 @@ class Core:
     go through the processor's wake heap.  A parked core's skipped cycles
     are provably no-ops, which is what keeps the fast path bit-identical
     to the naive every-core-every-cycle loop.
+
+    A core holds the run constants its stages read every cycle: the
+    config, the program code, the event tracer, the fault engine, the
+    processor's section list and its awake set.  It holds the processor
+    itself only weakly, and reaches it just for cold callbacks (a fork,
+    a request issue, a section event or completion, a time wake): the
+    processor owns its cores, so a strong reference back would make every
+    finished run one reference cycle that only the cyclic collector can
+    free.
     """
 
     def __init__(self, core_id: int, proc: "Processor") -> None:
         self.id = core_id
-        self.proc = proc
+        self._proc = weakref.ref(proc)
+        self.cfg = proc.cfg
+        self.code = proc.program.code
+        self.tracer = proc.tracer
+        self.fault_engine = proc.fault_engine
+        #: every section of the run, by ``sid - 1`` (:attr:`DynInstr.sid`).
+        #: Each fork that renumbers the total order appends one section,
+        #: so its length doubles as the order epoch that invalidates the
+        #: cached IQ/LSQ sort order.
+        self._sections = proc.sections
+        #: the processor's awake set: the event kernel's core agenda
+        self._awake = proc._awake
         self.hosted: List[SectionState] = []
         #: hosted sections not yet complete — the working set every stage
         #: iterates (complete sections are no-ops in every stage)
@@ -60,11 +79,11 @@ class Core:
         self.iq: List[DynInstr] = []
         self.lsq: List[DynInstr] = []
         # queue-order caching: a queue is re-sorted only after an append
-        # or when a fork renumbered the total order (processor epoch)
+        # or when a fork renumbered the total order (a new section count)
         self._iq_dirty = False
-        self._iq_epoch = 0
+        self._iq_epoch = 1
         self._lsq_dirty = False
-        self._lsq_epoch = 0
+        self._lsq_epoch = 1
         # statistics
         self.fetched = 0
         self.fetch_computed = 0
@@ -120,8 +139,8 @@ class Core:
         if self.dead or not self.parked:
             return
         self.parked = False
-        proc = self.proc
-        proc._awake.add(self.id)
+        self._awake.add(self.id)
+        proc = self._proc()
         if proc._core_slot is not None and self.id > proc._core_slot:
             heapq.heappush(proc._core_extra, self.id)
 
@@ -142,7 +161,7 @@ class Core:
             # than risk a lost wake-up.
             return
         self.parked = True
-        self.proc._awake.discard(self.id)
+        self._awake.discard(self.id)
         self._span_start = now + 1
         self._span_has_work = has_work
         self._blocked_from = None
@@ -150,7 +169,7 @@ class Core:
             for cell in blockers:
                 cell.add_waiter(self)
         if time_wake is not None:
-            self.proc.schedule_wake(time_wake, self)
+            self._proc().schedule_wake(time_wake, self)
 
     def _park_state(self, now: int) -> Tuple[
             bool, Optional[List[Cell]], Optional[int]]:
@@ -244,10 +263,10 @@ class Core:
                 and s.waiting_control is None and s.ip is not None]
 
     def _fetch(self, now: int) -> None:
-        engine = self.proc.fault_engine
+        engine = self.fault_engine
         if engine is not None and engine.fetch_blocked(self, now):
             return      # slow-core jitter: the fetch stage loses the cycle
-        for _ in range(self.proc.cfg.fetch_width):
+        for _ in range(self.cfg.fetch_width):
             runnable = self._runnable_sections(now)
             if not runnable:
                 return
@@ -259,17 +278,15 @@ class Core:
             self._fetch_one(sec, now)
 
     def _fetch_one(self, sec: SectionState, now: int) -> None:
-        code = self.proc.program.code
+        code = self.code
         if not 0 <= sec.ip < len(code):
             raise SimulationError(
                 "section %d fetched past the code (ip=%d)" % (sec.sid, sec.ip))
         instr = code[sec.ip]
-        dyn = DynInstr(instr, sec, len(sec.instructions))
-        dyn.timing.fd = now
+        dyn = DynInstr(instr, sec.sid, len(sec.instructions), now)
         sec.instructions.append(dyn)
-        if not sec.fetch_started and self.proc.tracer is not None:
-            self.proc.tracer.emit(now, "section_start", sid=sec.sid,
-                                  core=self.id)
+        if not sec.fetch_started and self.tracer is not None:
+            self.tracer.emit(now, "section_start", sid=sec.sid, core=self.id)
         sec.fetch_started = True
         self.fetched += 1
         if sec._last_fetch_cycle != now:
@@ -294,7 +311,7 @@ class Core:
         next_ip: Optional[int] = sec.ip + 1
 
         if kind == "fork":
-            self.proc.fork_section(sec, dyn, now)
+            self._proc().fork_section(sec, dyn, now)
             sec.fetch_depth += 1
             dyn.computed_at_fetch = True
             dyn.control_resolved = True
@@ -305,14 +322,14 @@ class Core:
             dyn.control_resolved = True
             next_ip = None
             if sec.req_waiters is not None:
-                self.proc.section_event(sec)
+                self._proc().section_event(sec)
         elif kind == "hlt":
             sec.fetch_done = True
             dyn.computed_at_fetch = True
             dyn.control_resolved = True
             next_ip = None
             if sec.req_waiters is not None:
-                self.proc.section_event(sec)
+                self._proc().section_event(sec)
         elif kind == "call":
             self._fetch_rsp_update(dyn, sec, now, delta=-8)
             sec.fetch_depth += 1
@@ -400,18 +417,18 @@ class Core:
     # ------------------------------------------------------------------
 
     def _rename(self, now: int) -> None:
-        budget = self.proc.cfg.rename_width
+        budget = self.cfg.rename_width
         while budget and self.rename_queue:
             dyn = self.rename_queue[0]
-            if dyn.timing.fd == now:
+            if dyn.fd == now:
                 return  # fetched this very cycle; rename next cycle
             self.rename_queue.pop(0)
             self._rename_one(dyn, now)
             budget -= 1
 
     def _rename_one(self, dyn: DynInstr, now: int) -> None:
-        sec = dyn.section
-        dyn.timing.rr = now
+        sec = self._sections[dyn.sid - 1]
+        dyn.rr = now
         self.did_work = True
         for reg in dyn.missing_srcs:
             cell = sec.imports.get(reg)
@@ -421,13 +438,13 @@ class Core:
                 sec.imports[reg] = cell
                 if reg not in sec.fregs:
                     sec.fregs[reg] = cell
-                self.proc.send_reg_request(sec, reg, cell, now)
+                self._proc().send_reg_request(sec, reg, cell, now)
             dyn.src_cells[reg] = cell
         dyn.addr_src_cells = {r: dyn.src_cells[r] for r in dyn.addr_regs}
         sec.rob.append(dyn)
         sec.renamed_count += 1
         if sec.req_waiters is not None:
-            self.proc.section_event(sec)
+            self._proc().section_event(sec)
         if dyn.is_load or dyn.is_store:
             sec.arq.append(dyn)
             self.iq.append(dyn)
@@ -441,22 +458,24 @@ class Core:
     # ------------------------------------------------------------------
 
     def _execute(self, now: int) -> None:
-        budget = self.proc.cfg.execute_width
+        budget = self.cfg.execute_width
         if not self.iq or not budget:
             return
-        epoch = self.proc.order_epoch
+        sections = self._sections
+        epoch = len(sections)
         if self._iq_dirty or self._iq_epoch != epoch:
             # (order_index, index) is unique per dyn, removals preserve
             # order, so a re-sort is only due after an append or a fork
             # renumbering the total order (the epoch bump)
-            self.iq.sort(key=lambda d: (d.section.order_index, d.index))
+            self.iq.sort(key=lambda d: (sections[d.sid - 1].order_index,
+                                        d.index))
             self._iq_dirty = False
             self._iq_epoch = epoch
         done: List[DynInstr] = []
         for dyn in self.iq:
             if not budget:
                 break
-            if dyn.timing.rr is None or dyn.timing.rr >= now:
+            if dyn.rr is None or dyn.rr >= now:
                 continue
             if dyn.is_load or dyn.is_store:
                 if not dyn.addr_sources_ready():
@@ -470,9 +489,8 @@ class Core:
             self.iq.remove(dyn)
 
     def _execute_one(self, dyn: DynInstr, now: int) -> None:
-        sec = dyn.section
         instr = dyn.instr
-        dyn.timing.ew = now
+        dyn.ew = now
         self.did_work = True
         if dyn.is_load or dyn.is_store:
             old_rsp = None
@@ -497,6 +515,7 @@ class Core:
             cell = dyn.dest_cells.get(reg)
             if cell is not None and not cell.ready:
                 cell.fill(value, now)
+        sec = self._sections[dyn.sid - 1]
         if result.out_value is not None:
             sec.outs.append((dyn.index, result.out_value))
         if instr.is_branch and not dyn.control_resolved:
@@ -517,25 +536,25 @@ class Core:
     # ------------------------------------------------------------------
 
     def _addr_rename(self, now: int) -> None:
-        budget = self.proc.cfg.addr_rename_width
+        budget = self.cfg.addr_rename_width
         secs = self.open_secs
         if len(secs) > 1:
             secs = sorted(secs, key=lambda s: s.order_index)
         for sec in secs:
             while budget and sec.arq:
                 dyn = sec.arq[0]
-                if dyn.addr_value is None or dyn.timing.ew == now:
+                if dyn.addr_value is None or dyn.ew == now:
                     break       # in-order: the head blocks the queue
                 sec.arq.popleft()
-                self._rename_addr_one(dyn, now)
+                self._rename_addr_one(sec, dyn, now)
                 budget -= 1
             if not budget:
                 return
 
-    def _rename_addr_one(self, dyn: DynInstr, now: int) -> None:
-        sec = dyn.section
+    def _rename_addr_one(self, sec: SectionState, dyn: DynInstr,
+                         now: int) -> None:
         addr = dyn.addr_value
-        dyn.timing.ar = now
+        dyn.ar = now
         self.did_work = True
         if dyn.is_load:
             cell = sec.maat.get(addr)
@@ -543,7 +562,7 @@ class Core:
                 cell = Cell(origin="s%d:mimport:%x" % (sec.sid, addr),
                             is_import=True)
                 sec.maat[addr] = cell
-                self.proc.send_mem_request(sec, addr, cell, now)
+                self._proc().send_mem_request(sec, addr, cell, now)
             dyn.load_src_cell = cell
         if dyn.is_store:
             new_cell = None
@@ -560,26 +579,28 @@ class Core:
         if sec.req_waiters is not None:
             # ARQ head advanced and/or stores_pending dropped: re-check
             # requests parked on this section's memory-final conditions.
-            self.proc.section_event(sec)
+            self._proc().section_event(sec)
 
     # ------------------------------------------------------------------
     # memory access
     # ------------------------------------------------------------------
 
     def _memory(self, now: int) -> None:
-        budget = self.proc.cfg.memory_width
+        budget = self.cfg.memory_width
         if not self.lsq or not budget:
             return
-        epoch = self.proc.order_epoch
+        sections = self._sections
+        epoch = len(sections)
         if self._lsq_dirty or self._lsq_epoch != epoch:
-            self.lsq.sort(key=lambda d: (d.section.order_index, d.index))
+            self.lsq.sort(key=lambda d: (sections[d.sid - 1].order_index,
+                                         d.index))
             self._lsq_dirty = False
             self._lsq_epoch = epoch
         done: List[DynInstr] = []
         for dyn in self.lsq:
             if not budget:
                 break
-            if dyn.timing.ar is None or dyn.timing.ar >= now:
+            if dyn.ar is None or dyn.ar >= now:
                 continue
             if dyn.is_load and dyn.load_src_cell.value is None:
                 continue
@@ -592,9 +613,9 @@ class Core:
             self.lsq.remove(dyn)
 
     def _memory_one(self, dyn: DynInstr, now: int) -> None:
-        sec = dyn.section
+        sec = self._sections[dyn.sid - 1]
         instr = dyn.instr
-        dyn.timing.ma = now
+        dyn.ma = now
         self.did_work = True
         src = dyn.src_cells
         loaded = dyn.load_src_cell.value if dyn.is_load else None
@@ -614,8 +635,8 @@ class Core:
             if target == HALT_SENTINEL:
                 sec.fetch_done = True
                 if sec.req_waiters is not None:
-                    self.proc.section_event(sec)
-            elif not 0 <= target < len(self.proc.program.code):
+                    self._proc().section_event(sec)
+            elif not 0 <= target < len(self.code):
                 raise SimulationError(
                     "section %d: ret to bad address %#x" % (sec.sid, target))
             else:
@@ -631,8 +652,8 @@ class Core:
     # ------------------------------------------------------------------
 
     def _retire(self, now: int) -> None:
-        budget = self.proc.cfg.retire_width
-        tracer = self.proc.tracer
+        budget = self.cfg.retire_width
+        tracer = self.tracer
         secs = self.open_secs
         if len(secs) > 1:
             secs = sorted(secs, key=lambda s: s.order_index)
@@ -640,7 +661,7 @@ class Core:
             popped = False
             while budget and sec.rob and sec.rob[0].terminated():
                 dyn = sec.rob.popleft()
-                dyn.timing.ret = now
+                dyn.ret = now
                 self.did_work = True
                 popped = True
                 budget -= 1
@@ -649,6 +670,6 @@ class Core:
             if popped and sec.complete:
                 # `complete` only ever flips true at the retirement that
                 # empties the ROB, so this is the single detection point.
-                self.proc.section_completed(sec, self, now)
+                self._proc().section_completed(sec, self, now)
             if not budget:
                 return

@@ -14,8 +14,10 @@ values and the loader-installed data memory hierarchy.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import random
+import weakref
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..errors import SimulationError
@@ -44,16 +46,17 @@ class _RequestWaiter:
     """A renaming request's entry on a cell's wake list (cells wake
     anything with a ``wake()``; parked cores are the other kind).  One
     per request, so :meth:`Cell.add_waiter`'s identity dedupe holds
-    across re-parks."""
+    across re-parks.  The processor keeps every waiter, so the waiter
+    holds the processor weakly."""
 
-    __slots__ = ("proc", "req")
+    __slots__ = ("_proc", "req")
 
     def __init__(self, proc: "Processor", req: RenameRequest) -> None:
-        self.proc = proc
+        self._proc = weakref.ref(proc)
         self.req = req
 
     def wake(self) -> None:
-        self.proc._wake_request(self.req)
+        self._proc()._wake_request(self.req)
 
 
 class Processor:
@@ -87,17 +90,10 @@ class Processor:
         #: is-None test per instrumentation point.
         self.tracer = (EventTrace() if self.cfg.events
                        or self.cfg.metrics_window is not None else None)
-        self.cores = [Core(i, self) for i in range(self.cfg.n_cores)]
-        if self.cfg.trace or self.tracer is not None:
-            # the per-cycle core-state timeline: SimResult.trace, and the
-            # input of stall attribution and windowed metrics
-            for core in self.cores:
-                core.trace_states = []
+        #: every section by creation order: ``sections[sid - 1]``
         self.sections: List[SectionState] = []
+        #: the total order of sections (the sequential trace order)
         self.order: List[SectionState] = []
-        #: bumped whenever a fork renumbers the total order — cores use it
-        #: to invalidate their cached IQ/LSQ sort order
-        self.order_epoch = 0
         self.requests: List[RenameRequest] = []
         self._open_sections = 0
         #: (cycle, core id) heap of parked cores' time wakes
@@ -136,6 +132,13 @@ class Processor:
         self.fault_engine: Optional[FaultEngine] = (
             FaultEngine(self, self.cfg.faults)
             if self.cfg.faults is not None else None)
+        # last: a core copies the run constants above (see Core)
+        self.cores = [Core(i, self) for i in range(self.cfg.n_cores)]
+        if self.cfg.trace or self.tracer is not None:
+            # the per-cycle core-state timeline: SimResult.trace, and the
+            # input of stall attribution and windowed metrics
+            for core in self.cores:
+                core.trace_states = []
 
         root = SectionState(
             sid=1, start_ip=program.entry, core_id=0,
@@ -152,11 +155,38 @@ class Processor:
     # ------------------------------------------------------------------
 
     def run(self) -> SimResult:
-        if self.cfg.kernel == "event":
-            self._run_event()
-        else:
-            self._run_naive()
-        return self._result()
+        """Simulate from cycle 0 until every section has retired and every
+        renaming request is answered; raises :class:`SimulationError`
+        when ``cfg.max_cycles`` runs out first.
+
+        Ownership: the processor owns the run's graph, its cores, its
+        sections (``sections`` by creation, ``order`` by total order),
+        their dynamic instructions and renamed cells, the renaming
+        requests and the fault engine.  No reference leads back up that
+        graph: a :class:`DynInstr` names its section by ``sid``, and a
+        core, the fault engine and a request's cell waiter hold the
+        processor through a :func:`weakref.ref`.  Dropping a finished
+        processor therefore frees the whole run by reference counting;
+        the :class:`SimResult` holds none of it.
+
+        The run makes no cyclic garbage either, so automatic garbage
+        collection is suspended while it runs: a collection would only
+        scan the growing live graph and free nothing.  That switch is
+        process-global state.  The caller's ``gc.isenabled()`` is
+        restored on exit, whether the run returns or raises, and a caller
+        that disabled the collector finds it still disabled.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            if self.cfg.kernel == "event":
+                self._run_event()
+            else:
+                self._run_naive()
+            return self._result()
+        finally:
+            if enabled:
+                gc.enable()
 
     def _run_naive(self) -> None:
         """Reference scheduler: tick every core every cycle.  Kept as the
@@ -468,7 +498,6 @@ class Processor:
         self.order.insert(position, sec)
         for index in range(position, len(self.order)):
             self.order[index].order_index = index
-        self.order_epoch += 1
         target = self.cores[core_id]
         target.hosted.append(sec)
         target.open_secs.append(sec)
@@ -894,9 +923,9 @@ class Processor:
         self._advance_fold()      # the final sections complete on the last
         regs, memory = self.final_state()   # cycle, after the cycle's fold
         instrs = self.all_instructions()
-        fetch_end = max((d.timing.fd for d in instrs), default=0)
-        retire_end = max((d.timing.ret for d in instrs
-                          if d.timing.ret is not None), default=0)
+        fetch_end = max((d.fd for d in instrs), default=0)
+        retire_end = max((d.ret for d in instrs if d.ret is not None),
+                         default=0)
         for core in self.cores:     # flush still-parked occupancy spans
             if core._span_start is not None:
                 core._close_span(self.cycle)
@@ -983,7 +1012,7 @@ class Processor:
             for sec in hosted:
                 for dyn in sec.instructions:
                     cells = ["%5s" % ("" if v is None else v)
-                             for v in dyn.timing.row()]
+                             for v in dyn.stage_cycles()]
                     lines.append("%-8s %s  %s" % (
                         "%d-%d" % (sec.order_index + 1, dyn.index + 1),
                         " ".join(cells), dyn.instr))

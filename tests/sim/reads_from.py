@@ -67,11 +67,15 @@ class ReadRecorder(ForkedMachine):
 
 
 class _KeepDeadIncarnations(FaultEngine):
-    """Hands each section's incarnation to the processor before a
-    re-dispatch discards it."""
+    """Appends each section's incarnation to *dead* before a re-dispatch
+    discards it."""
+
+    def __init__(self, proc, plan, dead):
+        super().__init__(proc, plan)
+        self.dead = dead
 
     def _redispatch(self, sec, dead_core, now):
-        self.proc.dead_incarnations.append((sec, list(sec.instructions)))
+        self.dead.append((sec, list(sec.instructions)))
         super()._redispatch(sec, dead_core, now)
 
 
@@ -82,7 +86,12 @@ class Recorder(Processor):
         super().__init__(program, config, initial_regs=initial_regs)
         self.dead_incarnations = []
         if config.faults is not None:
-            self.fault_engine = _KeepDeadIncarnations(self, config.faults)
+            # the cores hold the engine too (a run constant of theirs)
+            engine = _KeepDeadIncarnations(self, config.faults,
+                                           self.dead_incarnations)
+            self.fault_engine = engine
+            for core in self.cores:
+                core.fault_engine = engine
 
 
 def run(program, config, initial_regs=None, processor=Recorder):

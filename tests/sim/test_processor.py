@@ -266,16 +266,16 @@ class TestTimingProperties:
         prog = sum_forked_program(paper_array(5))
         _, proc = simulate(prog, SimConfig(n_cores=5))
         for dyn in proc.all_instructions():
-            stamps = [v for v in dyn.timing.row() if v is not None]
+            stamps = [v for v in dyn.stage_cycles() if v is not None]
             assert stamps == sorted(stamps)
-            assert dyn.timing.fd is not None
-            assert dyn.timing.ret is not None
+            assert dyn.fd is not None
+            assert dyn.ret is not None
 
     def test_fetch_one_per_cycle_per_core(self):
         prog = sum_forked_program(paper_array(10))
         _, proc = simulate(prog, SimConfig(n_cores=4))
         for core in proc.cores:
-            fetches = [d.timing.fd for sec in core.hosted
+            fetches = [d.fd for sec in core.hosted
                        for d in sec.instructions]
             assert len(fetches) == len(set(fetches))
 
@@ -283,7 +283,7 @@ class TestTimingProperties:
         prog = sum_forked_program(paper_array(10))
         _, proc = simulate(prog, SimConfig(n_cores=4))
         for sec in proc.sections:
-            rets = [d.timing.ret for d in sec.instructions]
+            rets = [d.ret for d in sec.instructions]
             assert rets == sorted(rets)
 
     def test_single_assignment_invariant(self):
@@ -330,7 +330,7 @@ class TestFigure10:
     def test_core1_fetches_cycles_1_to_11(self, fig10):
         _, proc = fig10
         root = proc.order[0]
-        assert [d.timing.fd for d in root.instructions] == list(range(1, 12))
+        assert [d.fd for d in root.instructions] == list(range(1, 12))
 
     def test_paper_worked_example_instruction_1_8(self, fig10):
         # Paper Section 5: "instruction 1-8 (load) is handled by core 1,
@@ -341,13 +341,13 @@ class TestFigure10:
         root = proc.order[0]
         dyn = root.instructions[7]
         assert str(dyn.instr) == "movq (%rdi), %rax"
-        assert dyn.timing.row() == (8, 9, 10, 11, 14, 15)
+        assert dyn.stage_cycles() == (8, 9, 10, 11, 14, 15)
 
     def test_section2_starts_fetch_at_cycle_8(self, fig10):
         # Paper: fork fetched at 5 + 2-cycle creation => first fetch at 8.
         _, proc = fig10
         section2 = proc.order[1]
-        assert section2.instructions[0].timing.fd == 8
+        assert section2.instructions[0].fd == 8
 
     def test_fetch_time_close_to_paper(self, fig10):
         # Paper: 30 cycles; our creation-latency accounting gives 32.

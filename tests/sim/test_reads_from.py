@@ -60,9 +60,9 @@ class TestRecorder:
         dyn = next(d for d in proc.all_instructions() if d.is_load)
         dyn.load_src_cell.value += 1
         problems = read_mismatches(proc)
-        k = proc.order.index(dyn.section) + 1
+        k = proc.order.index(proc.sections[dyn.sid - 1]) + 1
         assert problems[0].startswith("section %d (sid %d) #%d `%s`"
-                                      % (k, dyn.section.sid, dyn.index,
+                                      % (k, dyn.sid, dyn.index,
                                          dyn.instr))
 
     def test_missing_instruction_is_named(self):

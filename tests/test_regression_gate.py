@@ -1,12 +1,16 @@
-"""Unit tests for benchmarks/check_regression.py (loaded from its file
-path — the benchmarks directory is not a package).
+"""Unit tests for benchmarks/check_regression.py and the trajectory rows
+it appends (benchmarks/trajectory.py), both loaded from their file paths
+— the benchmarks directory is not a package.
 
 The expensive fresh runs are monkeypatched out; what's under test is the
 gate logic: exact comparison of deterministic fields, the speedup floor,
-and the deliberate re-baseline path."""
+the deliberate re-baseline path, the artifact census and the commit a
+trajectory row names."""
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -122,3 +126,102 @@ class TestFastPathGate:
         gate = gate_mod.Gate()
         gate_mod.check_fast_path(gate, tolerance=0.05, update=False)
         assert gate.failures == []
+
+
+class TestArtifactCensus:
+    @pytest.fixture
+    def census(self, gate_mod, monkeypatch, tmp_path, capsys):
+        """Run the census over BENCH_*.json files named *names*; returns
+        (gate, printed lines)."""
+        monkeypatch.setattr(gate_mod, "RESULTS_DIR", tmp_path)
+
+        def run(*names):
+            for name in names:
+                (tmp_path / ("BENCH_%s.json" % name)).write_text("{}")
+            gate = gate_mod.Gate()
+            gate_mod.check_artifact_census(gate)
+            return gate, capsys.readouterr().out.splitlines()
+        return run
+
+    def test_gated_artifact_passes_saying_it_is_gated(self, gate_mod,
+                                                      census):
+        gate, lines = census(gate_mod.GATED_BASELINES[0])
+        assert gate.failures == []
+        assert lines[1:] == ["  ok   BENCH_%s.json is gated"
+                             % gate_mod.GATED_BASELINES[0]]
+
+    def test_ignored_artifact_passes_saying_it_is_ignored(self, gate_mod,
+                                                          census):
+        gate, lines = census(gate_mod.IGNORED_ARTIFACTS[0])
+        assert gate.failures == []
+        assert lines[1:] == [
+            "  ok   BENCH_%s.json is listed in IGNORED_ARTIFACTS "
+            "(degradation artifact, not gated)"
+            % gate_mod.IGNORED_ARTIFACTS[0]]
+
+    def test_unknown_artifact_fails_saying_it_is_neither(self, census):
+        gate, lines = census("mystery")
+        message = ("BENCH_mystery.json is neither gated nor listed in "
+                   "IGNORED_ARTIFACTS")
+        assert gate.failures == [message]
+        assert lines[1:] == ["  FAIL " + message]
+
+
+_TRAJECTORY_PATH = _GATE_PATH.parent / "trajectory.py"
+
+
+@pytest.fixture(scope="module")
+def trajectory_mod():
+    spec = importlib.util.spec_from_file_location("trajectory",
+                                                  _TRAJECTORY_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTrajectoryCommit:
+    @pytest.fixture
+    def repo(self, tmp_path):
+        """A one-commit git repository: (path, its short hash)."""
+        if shutil.which("git") is None:
+            pytest.skip("no git binary")
+
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                 *args], cwd=str(tmp_path), capture_output=True,
+                text=True, check=True).stdout.strip()
+        git("init", "-q")
+        (tmp_path / "tracked.txt").write_text("one\n")
+        git("add", "tracked.txt")
+        git("commit", "-q", "-m", "one")
+        return tmp_path, git("rev-parse", "--short", "HEAD")
+
+    def test_clean_tree_is_the_bare_hash(self, trajectory_mod, repo):
+        path, head = repo
+        (path / "untracked.txt").write_text("not part of the tree\n")
+        assert trajectory_mod._git_commit(path) == head
+
+    def test_tracked_change_marks_the_hash_dirty(self, trajectory_mod,
+                                                 repo):
+        path, head = repo
+        (path / "tracked.txt").write_text("two\n")
+        assert trajectory_mod._git_commit(path) == head + "+dirty"
+
+    @pytest.mark.parametrize("commit", ["20ea008", "20ea008+dirty", None])
+    def test_check_accepts(self, trajectory_mod, tmp_path, commit):
+        path = tmp_path / "TRAJECTORY.jsonl"
+        row = trajectory_mod.build_row(passed=True, failures=[])
+        row["commit"] = commit
+        trajectory_mod.append_row(row, path)
+        assert trajectory_mod.validate_file(path) == []
+
+    @pytest.mark.parametrize("commit", ["20ea008-dirty", "dirty", "", 7])
+    def test_check_rejects(self, trajectory_mod, tmp_path, commit):
+        path = tmp_path / "TRAJECTORY.jsonl"
+        row = dict(trajectory_mod.build_row(passed=True, failures=[]),
+                   commit=commit)
+        path.write_text(json.dumps(row) + "\n")
+        assert trajectory_mod.validate_file(path) == [
+            "line 1: field 'commit' is %r, expected a short hash, "
+            "optionally marked +dirty" % (commit,)]
