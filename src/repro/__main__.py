@@ -38,7 +38,8 @@ Commands:
                         observed dependence is a graph edge on every
                         simulation kernel, ``--measure`` compares the
                         bound against measured speedup, ``--dot`` /
-                        ``--json`` emit machine-readable forms.
+                        ``--json`` emit machine-readable forms (``--dot``
+                        alone: not with ``--json`` or ``--measure``).
 * ``workloads``       — list the Table 1 benchmark suite.
 * ``batch``           — run a JSON job spec through the parallel batch
                         engine (``repro.runner``): ``--jobs N`` worker
@@ -488,6 +489,12 @@ def cmd_deps(args) -> int:
         graph, bound = analyze_program(prog)
         entry = graph.to_json_dict(bound, core_counts=args.cores)
         entry["name"] = name
+        if args.measure:
+            entry["measured"] = {}
+            for n in args.cores:
+                result = api.simulate(prog, SimConfig(n_cores=n)).result
+                entry["measured"][str(n)] = (result.instructions
+                                             / result.cycles)
         if args.dot:
             print(graph.to_dot())
         elif not args.json:
@@ -497,20 +504,12 @@ def cmd_deps(args) -> int:
                 line = "%s:   N=%-4d bound=%6.2fx" % (name, n,
                                                       bound.bound(n))
                 if args.measure:
-                    result = api.simulate(prog,
-                                          SimConfig(n_cores=n)).result
-                    measured = result.instructions / result.cycles
+                    measured = entry["measured"][str(n)]
                     line += ("  measured=%6.2fx  %s"
                              % (measured,
                                 "sound" if bound.bound(n) >= measured
                                 else "VIOLATED"))
                 print(line)
-        if args.measure and args.json:
-            entry["measured"] = {}
-            for n in args.cores:
-                result = api.simulate(prog, SimConfig(n_cores=n)).result
-                entry["measured"][str(n)] = (result.instructions
-                                             / result.cycles)
         if args.validate:
             entry["validations"] = []
             for kernel in _DEPS_VALIDATE_KERNELS:
@@ -758,7 +757,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "every kernel; exit 1 on any uncovered "
                            "dependence")
     deps.add_argument("--dot", action="store_true",
-                      help="emit the graph in Graphviz dot form")
+                      help="emit the graph in Graphviz dot form (not with "
+                           "--json or --measure)")
     deps.add_argument("--json", action="store_true",
                       help="machine-readable graph + bound payload")
     deps.set_defaults(func=cmd_deps)
@@ -816,7 +816,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "deps" and args.dot and (args.json or args.measure):
+        # the dot text is the whole output: no JSON payload beside it,
+        # no measured speedups to print
+        parser.error("deps: --dot cannot be combined with --json or "
+                     "--measure")
     try:
         return args.func(args)
     except ReproError as exc:

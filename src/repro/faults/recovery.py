@@ -186,13 +186,7 @@ class FaultEngine:
     def _kill_core(self, core: Any, now: int) -> None:
         if core.dead:
             return
-        # Close the pending occupancy span at the last cycle the core was
-        # alive; from `now` on it is simply not accounted, exactly like
-        # the naive loop which skips dead cores.
-        if core._span_start is not None:
-            core._close_span(now - 1)
-        core.dead = True
-        core.parked = True
+        core.fail_stop(now)
         self.any_dead = True
         self.stats.deaths += 1
         if self.tracer is not None:
@@ -212,20 +206,13 @@ class FaultEngine:
         dead_core.open_secs.remove(sec)
         dead_core.hosted.remove(sec)
         sec.redispatch_reset(target.id, first_fetch)
-        target.hosted.append(sec)
-        target.open_secs.append(sec)
+        # fail-stops apply before the core sweep: visible this cycle
+        target.host(sec, now)
         self.stats.redispatches += 1
         if self.tracer is not None:
             self.tracer.emit(now, "section_redispatch", sid=sec.sid,
                              src=dead_core.id, dst=target.id,
                              first_fetch=first_fetch)
-        if target.parked:
-            # Same contract as fork_section: schedule the time wake and
-            # mark the span blocked from the cycle the work became
-            # visible, so occupancy accounting matches the naive loop.
-            self._proc().schedule_wake(first_fetch, target)
-            if target._blocked_from is None or now < target._blocked_from:
-                target._blocked_from = now
 
     def pick_live_core(self) -> Any:
         """Least-loaded live core (ties to the lowest id) — the failover

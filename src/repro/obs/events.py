@@ -24,7 +24,7 @@ kind                 fields
 ``noc_deliver``      ``src``, ``dst`` — stamped at the arrival cycle
 ``retire``           ``sid``, ``index`` — one per retired instruction
 ``core_park``        ``core``, ``state`` ("blocked"/"parked"); synthesized
-``core_wake``        ``core``; synthesized from the per-cycle state timeline
+``core_wake``        ``core``; synthesized from the core-state timeline
 ``fault_injected``   ``fault`` ("drop"/"spike"/"jitter"/"ack_loss") plus
                      fault-specific fields (``rid``/``src``/``dst``/
                      ``attempt``/``extra``/``core``) — repro.faults
@@ -36,10 +36,11 @@ kind                 fields
 ``core_dead``        ``core`` — fail-stop at this cycle
 ===================  ========================================================
 
-``core_park`` / ``core_wake`` are *derived* from the per-cycle core-state
-trace rather than from the event-driven scheduler's park machinery — the
-naive scheduler never parks, so deriving them from the (mode-identical)
-state timeline is what keeps the two streams equal.
+``core_park`` / ``core_wake`` are *derived* from each core's run-length
+state timeline (``Core.timeline``) rather than from the event-driven
+scheduler's park machinery — the naive scheduler never parks, so deriving
+them from the (mode-identical) timeline is what keeps the two streams
+equal.
 """
 
 from __future__ import annotations
@@ -84,32 +85,33 @@ class EventTrace:
         self.events.append((cycle, kind, fields))
 
 
-def synthesize_core_events(states_per_core: Sequence[Sequence[int]],
+def synthesize_core_events(runs_per_core: Sequence[Sequence[Sequence[int]]],
                            state_names: Sequence[str],
                            stalled_states: Iterable[int]) -> List[Event]:
-    """Derive ``core_park`` / ``core_wake`` events from the per-cycle state
-    timeline (state index ``i`` is cycle ``i + 1``).
+    """Derive ``core_park`` / ``core_wake`` events from each core's
+    timeline of ``(state, cycles)`` runs, the first starting at cycle 1.
 
-    A park event opens every maximal run of cycles whose state is in
-    *stalled_states* (carrying the run's first state name), and a wake
-    event closes it — but only if the core actually resumed before the end
-    of the run.  Pure function of the timeline, hence scheduler-agnostic.
+    A park event opens every maximal stretch of cycles whose state is in
+    *stalled_states* (carrying the stretch's first state name), and a
+    wake event closes it — but only if the core actually resumed before
+    the end of the run.  Pure function of the timeline, hence
+    scheduler-agnostic.
     """
     events: List[Event] = []
     stalled_set = frozenset(stalled_states)
-    for core_id, states in enumerate(states_per_core):
-        if not states:
-            continue
+    for core_id, runs in enumerate(runs_per_core):
+        cycle = 1
         in_stall = False
-        for i, state in enumerate(states):
+        for state, n in runs:
             stalled = state in stalled_set
             if stalled and not in_stall:
-                events.append((i + 1, "core_park",
+                events.append((cycle, "core_park",
                                {"core": core_id,
                                 "state": state_names[state]}))
             elif not stalled and in_stall:
-                events.append((i + 1, "core_wake", {"core": core_id}))
+                events.append((cycle, "core_wake", {"core": core_id}))
             in_stall = stalled
+            cycle += n
     return events
 
 

@@ -7,7 +7,7 @@ never mix in one export:
 * **cycle domain** (``domain="cycle"``) — derived *deterministically*
   from a finished simulation.  :func:`derive_cycle_metrics` folds the
   run's bit-identical artifacts (per-instruction stage timings, the
-  per-cycle core-state timeline, section/request lifecycles, and the
+  cores' run-length state timelines, section/request lifecycles, and the
   event stream's NoC, DMH and fault events) into windowed series
   sampled every ``SimConfig.metrics_window`` cycles.
   Because every input is proven identical across the naive and event
@@ -139,18 +139,6 @@ class Histogram:
         self.sum += value
         self.count += 1
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Order-independent combination: bucket-wise sum.  Bounds must
-        match (merging histograms of different shape is meaningless)."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with bounds %r and %r"
-                             % (self.bounds, other.bounds))
-        merged = Histogram(self.name, self.bounds, self.help, self.labels)
-        merged.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        merged.sum = self.sum + other.sum
-        merged.count = self.count + other.count
-        return merged
-
     def to_json_dict(self) -> Dict[str, Any]:
         return {"type": "histogram", "name": self.name, "help": self.help,
                 "labels": dict(self.labels), "bounds": list(self.bounds),
@@ -159,10 +147,10 @@ class Histogram:
 
 
 class TimeSeries:
-    """Windowed integer series: ``values[w]`` accumulates observations
-    whose cycle falls in window ``w`` (cycle ``c >= 1`` belongs to window
-    ``(c - 1) // window``).  The fixed length makes merges and exports
-    shape-stable regardless of which windows saw events."""
+    """Windowed integer series: ``values[w]`` holds the count of window
+    ``w`` (cycle ``c >= 1`` belongs to window ``(c - 1) // window``).
+    The fixed length keeps exports shape-stable regardless of which
+    windows saw events."""
 
     __slots__ = ("name", "help", "labels", "window", "values")
 
@@ -177,36 +165,6 @@ class TimeSeries:
         self.labels = labels
         self.window = window
         self.values = [0] * n_windows
-
-    def observe(self, cycle: int, amount: int = 1) -> None:
-        """Account *amount* to *cycle*'s window; cycles outside the run
-        horizon clamp to the nearest window (events stamped a few cycles
-        past the end — e.g. a retry ladder's last timeout — still count)."""
-        if not self.values:
-            return
-        index = (cycle - 1) // self.window if cycle >= 1 else 0
-        index = max(0, min(len(self.values) - 1, index))
-        self.values[index] += amount
-
-    def total(self) -> int:
-        return sum(self.values)
-
-    def last(self) -> int:
-        return self.values[-1] if self.values else 0
-
-    def merge(self, other: "TimeSeries") -> "TimeSeries":
-        """Order-independent combination: element-wise sum.  Windows and
-        lengths must match."""
-        if other.window != self.window or len(other.values) != \
-                len(self.values):
-            raise ValueError(
-                "cannot merge series with shape (window=%d, n=%d) into "
-                "(window=%d, n=%d)" % (other.window, len(other.values),
-                                       self.window, len(self.values)))
-        merged = TimeSeries(self.name, self.window, len(self.values),
-                            self.help, self.labels)
-        merged.values = [a + b for a, b in zip(self.values, other.values)]
-        return merged
 
     def to_json_dict(self) -> Dict[str, Any]:
         return {"type": "series", "name": self.name, "help": self.help,
@@ -375,18 +333,24 @@ def window_lengths(cycles: int, window: int) -> List[int]:
     return [min(window, cycles - w * window) for w in range(n)]
 
 
-def state_series(states: Sequence[int], window: int, n_windows: int,
-                 n_states: int = 4) -> List[List[int]]:
-    """Per-state windowed core-cycle counts of one core's per-cycle state
-    timeline (state at index ``i`` is cycle ``i + 1``).  Returns one
-    series per state index — the per-core building block whose
+def state_series(runs: Iterable[Sequence[int]], window: int,
+                 n_windows: int, n_states: int = 4) -> List[List[int]]:
+    """Per-state windowed core-cycle counts of one core's timeline of
+    ``(state, cycles)`` runs, the first starting at cycle 1.  Returns
+    one series per state index — the per-core building block whose
     order-independent merge is the chip-wide breakdown."""
     out = [[0] * n_windows for _ in range(n_states)]
-    for i, state in enumerate(states):
-        w = i // window
-        if w >= n_windows:
-            break
-        out[state][w] += 1
+    done = 0                # cycles already counted
+    for state, n in runs:
+        row = out[state]
+        end = done + n
+        while done < end:
+            w = done // window
+            if w >= n_windows:
+                return out
+            step = min(end, (w + 1) * window) - done
+            row[w] += step
+            done += step
     return out
 
 
@@ -417,9 +381,9 @@ def derive_cycle_metrics(proc: Any, window: int) -> Dict[str, Any]:
     cycle-domain metrics dict carried in ``SimResult.metrics``.
 
     Every input is part of the two-kernel bit-identity contract:
-    instruction stage timings, section/request lifecycles, the per-cycle
-    core-state timeline (``trace_states``) and the processor's event
-    stream (``proc.tracer.events``, recorded whenever ``metrics_window``
+    instruction stage timings, section/request lifecycles, each core's
+    run-length state timeline (``Core.timeline``) and the processor's
+    event stream (``proc.tracer.events``, recorded whenever ``metrics_window``
     is set): link traffic from ``noc_send`` and ``request_dmh``, drops
     from ``fault_injected(fault="drop")``, retries from ``msg_retry``
     and redispatches from ``section_redispatch``.  A DMH reply is busy
@@ -478,7 +442,7 @@ def derive_cycle_metrics(proc: Any, window: int) -> Dict[str, Any]:
     # per-core state timelines -> chip-wide windowed breakdown.  The
     # merge across cores is order-independent (merge_series), which the
     # hypothesis suite cross-checks against occupancy and stall totals.
-    per_core = [state_series(core.trace_states or (), window, n)
+    per_core = [state_series(core.timeline, window, n)
                 for core in proc.cores]
     core_state_cycles = [merge_series(core_rows[state]
                                       for core_rows in per_core)

@@ -28,7 +28,7 @@ cause              meaning
 =================  ==========================================================
 
 Attribution is computed *post-hoc* from the structured event stream plus
-the (mode-identical) per-cycle core-state timeline, so the naive and
+each core's (mode-identical) run-length state timeline, so the naive and
 event-driven schedulers can't disagree; a cycle with several candidate
 causes resolves by the fixed priority ``wait_memory`` > ``wait_register``
 > ``noc_transit`` > not-started (fork/no-free-core) > local pipeline.
@@ -167,8 +167,9 @@ def _classify(views: List[_SectionView], cycle: int) -> str:
 
 def attribute_stalls(proc: Any) -> Dict[str, Any]:
     """Attribute every blocked/parked cycle of a finished (or deadlocked)
-    run.  Requires the run to have collected events and per-cycle core
-    states (``SimConfig.events`` turns both on).
+    run, read off each core's state timeline (``Core.timeline``, always
+    recorded).  Requires the run to have collected events
+    (``SimConfig.events``).
 
     Returns ``{"causes", "totals", "per_core", "per_section"}`` where
     ``per_core[i]`` sums to core *i*'s blocked + parked occupancy and
@@ -194,13 +195,14 @@ def attribute_stalls(proc: Any) -> Dict[str, Any]:
         counts = {cause: 0 for cause in STALL_CAUSES}
         hosted = sorted(views_by_core.get(core.id, []),
                         key=lambda v: v.sid)
-        states = core.trace_states or []
-        for i, state in enumerate(states):
+        end = 0                 # last cycle of the previous run
+        for state, n in core.timeline:
+            start, end = end + 1, end + n
             if state != BLOCKED and state != PARKED:
                 continue
-            cycle = i + 1
-            live = [v for v in hosted if v.live_at(cycle)]
-            counts[_classify(live, cycle)] += 1
+            for cycle in range(start, end + 1):
+                live = [v for v in hosted if v.live_at(cycle)]
+                counts[_classify(live, cycle)] += 1
         per_core.append(counts)
         for cause, n in counts.items():
             totals[cause] += n

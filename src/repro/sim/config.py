@@ -62,20 +62,21 @@ class SimConfig:
     #: and never a constructor argument: :meth:`to_dict` keeps emitting
     #: it so every pre-existing cache key stays byte-identical
     event_driven: bool = field(init=False, default=True)
-    #: record the per-cycle core-state timeline (fetching / computing /
-    #: blocked / parked) into ``SimResult.trace``; opt-in because a run of
-    #: C cycles on N cores stores C*N state codes
+    #: hand the core-state timelines (fetching / computing / blocked /
+    #: parked), which every run records as run-length ``Core.timeline``,
+    #: out as ``SimResult.trace`` strings; opt-in because the strings of
+    #: a run of C cycles on N cores hold C*N state codes
     trace: bool = False
     #: structured event tracing (:mod:`repro.obs`): hand the typed event
     #: stream (section fork/start/complete, renaming request
     #: issue/hop/fill, NoC send/deliver, DMH reads, faults, retirement,
     #: core park/wake) out as ``SimResult.events`` and fold the
-    #: stall-cause attribution into ``SimResult.stall_causes``.  Implies
-    #: the per-cycle core-state timeline.  A run with ``metrics_window``
-    #: set records the stream too, for the metrics only: without
-    #: ``events`` both result fields stay None.  Near-zero overhead when
-    #: neither is set (every instrumentation point is one ``tracer is
-    #: None`` test).  Both scheduler modes emit identical streams.
+    #: stall-cause attribution into ``SimResult.stall_causes``.  A run
+    #: with ``metrics_window`` set records the stream too, for the
+    #: metrics only: without ``events`` both result fields stay None.
+    #: Near-zero overhead when neither is set (every instrumentation
+    #: point is one ``tracer is None`` test).  Both scheduler modes emit
+    #: identical streams.
     events: bool = False
     #: simulation budget; exceeding it raises (deadlock guard)
     max_cycles: int = 2_000_000

@@ -97,8 +97,12 @@ class Core:
         self._blocked_from: Optional[int] = None
         # observability
         self.did_work = False          #: any non-fetch stage progressed
-        self.occ = [0, 0, 0, 0]        #: cycles per state, CORE_STATES order
-        self.trace_states: Optional[List[int]] = None
+        #: the core-state record, always kept: ``[state, cycles]`` runs
+        #: (CORE_STATES indices) from cycle 1 to the run's end or the
+        #: core's death, no two adjacent runs in the same state.
+        #: Occupancy, the trace, core park/wake events, stall causes and
+        #: the windowed state metrics are folds over it.
+        self.timeline: List[List[int]] = []
 
     # ------------------------------------------------------------------
     # cycle driver
@@ -123,9 +127,11 @@ class Core:
             state = BLOCKED
         else:
             state = PARKED
-        self.occ[state] += 1
-        if self.trace_states is not None:
-            self.trace_states.append(state)
+        runs = self.timeline        # _record(state, 1), inlined: hot path
+        if runs and runs[-1][0] == state:
+            runs[-1][1] += 1
+        else:
+            runs.append([state, 1])
 
     # ------------------------------------------------------------------
     # event-driven scheduling: park / wake
@@ -226,9 +232,9 @@ class Core:
         return False, blockers, time_wake
 
     def _close_span(self, end: int) -> None:
-        """Account the parked span [_span_start, end] to the occupancy
-        histogram: ``blocked`` if the core had pending work when it parked
-        (or from the cycle a forked section became visible), ``parked``
+        """Record the parked span [_span_start, end] on the timeline:
+        ``blocked`` if the core had pending work when it parked (or from
+        the cycle a newly hosted section became visible), ``parked``
         (idle) otherwise."""
         start = self._span_start
         self._span_start = None
@@ -236,22 +242,53 @@ class Core:
         self._blocked_from = None
         if end < start:
             return
-        n = end - start + 1
         if self._span_has_work:
-            self._account_span(BLOCKED, n)
+            self._record(BLOCKED, end - start + 1)
         elif blocked_from is None or blocked_from > end:
-            self._account_span(PARKED, n)
+            self._record(PARKED, end - start + 1)
         else:
             split = max(blocked_from, start)
-            self._account_span(PARKED, split - start)
-            self._account_span(BLOCKED, end - split + 1)
+            self._record(PARKED, split - start)
+            self._record(BLOCKED, end - split + 1)
 
-    def _account_span(self, state: int, n: int) -> None:
-        if n <= 0:
-            return
-        self.occ[state] += n
-        if self.trace_states is not None:
-            self.trace_states.extend([state] * n)
+    def _record(self, state: int, n: int) -> None:
+        """Extend the timeline by *n* cycles in *state*."""
+        runs = self.timeline
+        if runs and runs[-1][0] == state:
+            runs[-1][1] += n
+        elif n > 0:
+            runs.append([state, n])
+
+    # ------------------------------------------------------------------
+    # the span policy: hosting, fail-stop, end of run
+    # ------------------------------------------------------------------
+
+    def host(self, sec: SectionState, visible: int) -> None:
+        """Take *sec* on: the root, a fork's new section or a fail-stop
+        re-dispatch.  A parked core schedules its time wake for the
+        section's first fetch, and its pending span turns ``blocked``
+        from cycle *visible*, the first cycle at which the naive sweep
+        sees the section at this core's slot."""
+        self.hosted.append(sec)
+        self.open_secs.append(sec)
+        if self.parked:
+            self._proc().schedule_wake(sec.first_fetch_cycle, self)
+            if self._blocked_from is None or visible < self._blocked_from:
+                self._blocked_from = visible
+
+    def fail_stop(self, now: int) -> None:
+        """Kill the core at cycle *now*: its timeline ends at ``now - 1``,
+        the last cycle it was alive (the naive loop skips a dead core),
+        both run loops skip it from now on and no wake revives it."""
+        self.close_timeline(now - 1)
+        self.dead = True
+        self.parked = True
+
+    def close_timeline(self, end: int) -> None:
+        """End the timeline at cycle *end*: record a still-open parked
+        span."""
+        if self._span_start is not None:
+            self._close_span(end)
 
     # ------------------------------------------------------------------
     # fetch-decode
@@ -289,9 +326,6 @@ class Core:
             self.tracer.emit(now, "section_start", sid=sec.sid, core=self.id)
         sec.fetch_started = True
         self.fetched += 1
-        if sec._last_fetch_cycle != now:
-            sec._last_fetch_cycle = now
-            sec.fetch_cycles += 1
 
         # -- bind sources against the fetch register file ----------------
         meta = instr.meta

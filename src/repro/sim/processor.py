@@ -134,11 +134,6 @@ class Processor:
             if self.cfg.faults is not None else None)
         # last: a core copies the run constants above (see Core)
         self.cores = [Core(i, self) for i in range(self.cfg.n_cores)]
-        if self.cfg.trace or self.tracer is not None:
-            # the per-cycle core-state timeline: SimResult.trace, and the
-            # input of stall attribution and windowed metrics
-            for core in self.cores:
-                core.trace_states = []
 
         root = SectionState(
             sid=1, start_ip=program.entry, core_id=0,
@@ -146,8 +141,7 @@ class Processor:
             created_cycle=0, first_fetch_cycle=1)
         self.sections.append(root)
         self.order.append(root)
-        self.cores[0].hosted.append(root)
-        self.cores[0].open_secs.append(root)
+        self.cores[0].host(root, 1)
         self._open_sections = 1
 
     # ------------------------------------------------------------------
@@ -297,7 +291,8 @@ class Processor:
 
     def section_completed(self, section: SectionState, core, now: int) -> None:
         """Called by the retire stage at the pop that completes *section*:
-        maintain the open-section working sets and occupancy record."""
+        record its completion cycle and leave the open-section working
+        sets."""
         if section.completed_cycle is not None:
             return
         section.completed_cycle = now
@@ -498,20 +493,11 @@ class Processor:
         self.order.insert(position, sec)
         for index in range(position, len(self.order)):
             self.order[index].order_index = index
-        target = self.cores[core_id]
-        target.hosted.append(sec)
-        target.open_secs.append(sec)
+        # the naive sweep sees the new section at the target's slot this
+        # cycle if the forking core runs earlier in core order, else next
+        self.cores[core_id].host(
+            sec, now if parent.core_id < core_id else now + 1)
         self._open_sections += 1
-        if target.parked:
-            # Schedule the time wake; the naive loop would classify the
-            # target as blocked from the cycle it can first observe the
-            # new section at its slot (this cycle if the forking core
-            # runs earlier in core order, next cycle otherwise).
-            self.schedule_wake(sec.first_fetch_cycle, target)
-            visible = now if parent.core_id < core_id else now + 1
-            if (target._blocked_from is None
-                    or visible < target._blocked_from):
-                target._blocked_from = visible
         parent.fork_children[dyn.index] = sec.sid
         if self._route_parked:
             # The total order changed: a request parked on a section may
@@ -572,7 +558,6 @@ class Processor:
     def send_mem_request(self, sec: SectionState, addr: int, cell: Cell,
                          now: int) -> None:
         use_shortcut = False
-        depth = sec.depth
         if self.cfg.stack_shortcut:
             rsp = sec.freg_value(STACK_POINTER)
             if rsp is not None and addr >= rsp:
@@ -580,7 +565,7 @@ class Processor:
         req = RenameRequest(
             kind="mem", requester=sec, dest_cell=cell, addr=addr,
             rid=len(self.requests),
-            use_shortcut=use_shortcut, requester_depth=depth,
+            use_shortcut=use_shortcut,
             before=sec, cut_child=sec, cur_core=sec.core_id,
             issued_cycle=now, wake_cycle=now + 1)
         self.requests.append(req)
@@ -926,19 +911,19 @@ class Processor:
         fetch_end = max((d.fd for d in instrs), default=0)
         retire_end = max((d.ret for d in instrs if d.ret is not None),
                          default=0)
-        for core in self.cores:     # flush still-parked occupancy spans
-            if core._span_start is not None:
-                core._close_span(self.cycle)
+        for core in self.cores:
+            core.close_timeline(self.cycle)
         trace = None
         if self.cfg.trace:
-            trace = ["".join(STATE_CODES[s] for s in core.trace_states)
+            trace = ["".join(STATE_CODES[state] * n
+                             for state, n in core.timeline)
                      for core in self.cores]
         events = None
         stall_causes = None
         tracer = self.tracer
         if tracer is not None and self.cfg.events:
             tracer.events.extend(synthesize_core_events(
-                [core.trace_states for core in self.cores],
+                [core.timeline for core in self.cores],
                 CORE_STATES, (BLOCKED, PARKED)))
             tracer.events.sort(key=lambda e: e[0])  # stable: keeps
             events = tracer.events                  # emission order
@@ -965,7 +950,7 @@ class Processor:
                 for req in self.requests
                 if req.done and req.dest_cell.ready_cycle is not None],
             scheduler=self.cfg.kernel,
-            core_occupancy=[occupancy_counts(core.occ)
+            core_occupancy=[occupancy_counts(core.timeline)
                             for core in self.cores],
             section_occupancy=self._section_occupancy(),
             noc_stats=self.noc.stats(),
@@ -978,19 +963,22 @@ class Processor:
         )
 
     def _section_occupancy(self) -> Dict[int, Dict[str, int]]:
-        """Per-section lifetime histogram: cycles with a fetch vs cycles
-        spent blocked between creation and completion."""
+        """Per-section lifetime histogram: cycles with a fetch (the
+        distinct fetch cycles of its instructions, those of its last
+        incarnation after a re-dispatch) vs cycles spent blocked between
+        creation and completion."""
         histogram: Dict[int, Dict[str, int]] = {}
         for sec in self.sections:
             completed = (sec.completed_cycle if sec.completed_cycle
                          is not None else self.cycle)
             lifetime = max(completed - sec.created_cycle, 0)
+            fetch_cycles = len({dyn.fd for dyn in sec.instructions})
             histogram[sec.sid] = {
                 "core": sec.core_id,
                 "created": sec.created_cycle,
                 "completed": completed,
-                "fetch_cycles": sec.fetch_cycles,
-                "blocked_cycles": max(lifetime - sec.fetch_cycles, 0),
+                "fetch_cycles": fetch_cycles,
+                "blocked_cycles": max(lifetime - fetch_cycles, 0),
             }
         return histogram
 

@@ -32,7 +32,7 @@ opt-in (:attr:`repro.sim.SimConfig.stack_shortcut`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .cells import Cell
@@ -52,7 +52,6 @@ class RenameRequest:
     reg: str = ""                 #: kind == "reg"
     addr: int = -1                #: kind == "mem"
     use_shortcut: bool = False
-    requester_depth: int = 0
 
     #: the walk queries the predecessor of this section next
     before: Optional[SectionState] = None

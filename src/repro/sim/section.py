@@ -77,9 +77,6 @@ class SectionState:
         #: cycle at which ``complete`` first became true (observability;
         #: detected at the retirement that empties the ROB)
         self.completed_cycle: Optional[int] = None
-        #: number of distinct cycles in which this section fetched
-        self.fetch_cycles = 0
-        self._last_fetch_cycle = -1
         self.fetch_depth = depth            #: call level at the fetch point
         self.waiting_control: Optional[DynInstr] = None
         self.stores_pending = 0             #: stores fetched, not yet renamed
@@ -163,8 +160,6 @@ class SectionState:
         self.arq.clear()
         self.fetch_started = False
         self.fetch_done = False
-        self.fetch_cycles = 0
-        self._last_fetch_cycle = -1
         self.fetch_depth = self.depth
         self.waiting_control = None
         self.stores_pending = 0

@@ -1,16 +1,17 @@
 """Simulation results and cycle-level observability.
 
-Beyond the headline numbers (cycles, IPC, renaming traffic), a run
-carries two observability layers built on the same wake machinery as the
-event-driven scheduler:
+Beyond the headline numbers (cycles, IPC, renaming traffic), every run
+records one core-state timeline per core (``Core.timeline``: runs of
+``[state, cycles]`` over the four states ``fetching`` / ``computing`` /
+``blocked`` / ``parked``), identical in both scheduler modes.  Two views
+of it are built here:
 
 * **occupancy histograms** — for every core, how many cycles it spent in
-  each of four states (``fetching`` / ``computing`` / ``blocked`` /
-  ``parked``), and for every section, how many cycles it fetched versus
-  sat blocked between creation and completion.  Always collected; both
-  scheduler modes produce identical histograms;
-* **the per-cycle trace** — the full core-state timeline, one state code
-  per core per cycle (:attr:`repro.sim.SimConfig.trace`, opt-in).
+  each state (:func:`occupancy_counts`), and for every section, how many
+  cycles it fetched versus sat blocked between creation and completion.
+  Always exported;
+* **the trace** — the timeline spelled out as one state code per core
+  per cycle (:attr:`repro.sim.SimConfig.trace`, opt-in).
 
 Events, stall causes and windowed metrics are the opt-in layers of
 :mod:`repro.obs` (:attr:`repro.sim.SimConfig.events` and
@@ -22,11 +23,11 @@ Events, stall causes and windowed metrics are the opt-in layers of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..machine.executor import to_signed
 
-#: per-cycle core states, in the order used by the compact trace encoding
+#: core states, in the order used by the compact trace encoding
 CORE_STATES = ("fetching", "computing", "blocked", "parked")
 #: one-character codes for the per-cycle trace strings
 STATE_CODES = "FCBP"
@@ -70,9 +71,13 @@ def request_latency_stats(latencies: List[int]) -> Dict[str, float]:
     }
 
 
-def occupancy_counts(raw: List[int]) -> Dict[str, int]:
-    """Turn a 4-slot counter list into a named histogram."""
-    return dict(zip(CORE_STATES, raw))
+def occupancy_counts(runs: Iterable[Sequence[int]]) -> Dict[str, int]:
+    """Cycles per state of a core's timeline of ``(state, cycles)`` runs,
+    as a named histogram."""
+    counts = [0] * len(CORE_STATES)
+    for state, n in runs:
+        counts[state] += n
+    return dict(zip(CORE_STATES, counts))
 
 
 @dataclass
@@ -104,8 +109,9 @@ class SimResult:
                                                          repr=False)
     #: NoC traffic: {"messages", "hop_cycles", "dmh_reads"}
     noc_stats: Dict[str, int] = field(default_factory=dict, repr=False)
-    #: opt-in per-cycle timeline: one string per core, one state code per
-    #: cycle ("F" fetching, "C" computing, "B" blocked, "P" parked)
+    #: opt-in rendering of the core-state timelines: one string per core,
+    #: one state code per cycle ("F" fetching, "C" computing, "B" blocked,
+    #: "P" parked), cut short at a fail-stopped core's death
     trace: Optional[List[str]] = field(default=None, repr=False)
     #: structured event stream (:mod:`repro.obs.events` tuples); None
     #: unless the run had :attr:`repro.sim.SimConfig.events` on

@@ -31,8 +31,10 @@ class TestEventTrace:
 
 
 class TestSynthesizeCoreEvents:
-    def _run(self, *state_rows):
-        return synthesize_core_events(list(state_rows), CORE_STATES,
+    """Each core's timeline is a list of ``[state, cycles]`` runs."""
+
+    def _run(self, *timelines):
+        return synthesize_core_events(list(timelines), CORE_STATES,
                                       (BLOCKED, PARKED))
 
     def test_empty_timeline(self):
@@ -40,25 +42,27 @@ class TestSynthesizeCoreEvents:
         assert self._run() == []
 
     def test_never_stalled(self):
-        assert self._run([FETCHING, COMPUTING, FETCHING]) == []
+        assert self._run([[FETCHING, 1], [COMPUTING, 1],
+                          [FETCHING, 1]]) == []
 
     def test_single_stall_run(self):
-        events = self._run([FETCHING, BLOCKED, BLOCKED, FETCHING])
+        events = self._run([[FETCHING, 1], [BLOCKED, 2], [FETCHING, 1]])
         assert events == [(2, "core_park", {"core": 0, "state": "blocked"}),
                           (4, "core_wake", {"core": 0})]
 
     def test_stall_to_end_has_no_wake(self):
-        events = self._run([FETCHING, PARKED, PARKED])
+        events = self._run([[FETCHING, 1], [PARKED, 2]])
         assert events == [(2, "core_park", {"core": 0, "state": "parked"})]
 
     def test_park_state_is_the_runs_first(self):
-        # a blocked->parked transition within one run keeps one park event
-        events = self._run([BLOCKED, PARKED, FETCHING])
+        # a blocked->parked transition within one stall keeps one park event
+        events = self._run([[BLOCKED, 1], [PARKED, 1], [FETCHING, 1]])
         assert events == [(1, "core_park", {"core": 0, "state": "blocked"}),
                           (3, "core_wake", {"core": 0})]
 
     def test_multiple_cores_tagged(self):
-        events = self._run([BLOCKED, FETCHING], [FETCHING, PARKED])
+        events = self._run([[BLOCKED, 1], [FETCHING, 1]],
+                           [[FETCHING, 1], [PARKED, 1]])
         cores = sorted(f["core"] for _, kind, f in events
                        if kind == "core_park")
         assert cores == [0, 1]

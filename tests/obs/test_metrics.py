@@ -14,6 +14,7 @@ Three concerns:
 * **exporters** — registry JSON shape and Prometheus text exposition.
 """
 
+import itertools
 import math
 
 import pytest
@@ -22,9 +23,8 @@ from hypothesis import given, settings, strategies as st
 from repro.fork import fork_transform
 from repro.isa import assemble
 from repro.obs.metrics import (CYCLE_DOMAIN, HOST_DOMAIN, Counter, Gauge,
-                               Histogram, MetricsRegistry, TimeSeries,
-                               cycle_metrics_to_registry,
-                               derive_cycle_metrics, merge_series,
+                               Histogram, MetricsRegistry,
+                               cycle_metrics_to_registry, merge_series,
                                render_prometheus, state_series,
                                window_count, window_lengths)
 from repro.sim import SimConfig, simulate
@@ -101,7 +101,9 @@ class TestMergeAlgebra:
            window=st.integers(min_value=1, max_value=9))
     def test_state_series_partitions_every_cycle(self, states, window):
         n = window_count(len(states), window)
-        rows = state_series(states, window, n)
+        runs = [[state, len(list(cycles))]
+                for state, cycles in itertools.groupby(states)]
+        rows = state_series(runs, window, n)
         # every traced cycle lands in exactly one (state, window) cell
         assert sum(sum(row) for row in rows) == len(states)
         assert merge_series(rows) == [
@@ -120,14 +122,6 @@ class TestWindows:
         assert len(lengths) == window_count(cycles, window)
         assert all(1 <= length <= window for length in lengths)
 
-    def test_series_clamps_stray_cycles(self):
-        series = TimeSeries("x", window=10, n_windows=3)
-        series.observe(0)      # pre-run event -> first window
-        series.observe(31)     # past the horizon -> last window
-        series.observe(999)
-        assert series.values == [1, 0, 2]
-        assert series.total() == 3 and series.last() == 2
-
 
 # -- the cycle-domain derivation against independent layers ------------------
 
@@ -145,7 +139,7 @@ class TestDerivationInvariants:
 
     def test_state_cycles_match_occupancy_histograms(self, run):
         # chip-wide windowed state breakdown vs the PR 1 occupancy layer:
-        # both fold the same per-cycle timelines, via different code paths
+        # both fold the same core timelines, via different code paths
         states = run.metrics["series"]["core_state_cycles"]
         for name in ("fetching", "computing", "blocked", "parked"):
             occupancy_total = sum(h.get(name, 0)
@@ -244,15 +238,11 @@ class TestInstruments:
         g.set(5.0); g.add(-2)
         assert g.value == 3.0
 
-    def test_histogram_buckets_and_merge(self):
+    def test_histogram_buckets(self):
         h = Histogram("wall", bounds=(1.0, 5.0))
         for v in (0.5, 2.0, 99.0):
             h.observe(v)
         assert h.counts == [1, 1, 1] and h.count == 3
-        merged = h.merge(h)
-        assert merged.counts == [2, 2, 2] and merged.sum == 2 * h.sum
-        with pytest.raises(ValueError):
-            h.merge(Histogram("wall", bounds=(1.0, 2.0)))
         with pytest.raises(ValueError):
             Histogram("bad", bounds=(2.0, 1.0))
 
@@ -266,12 +256,6 @@ class TestInstruments:
             reg.gauge("jobs", status="ok")   # name/kind collision
         with pytest.raises(ValueError):
             MetricsRegistry("weather")
-
-    def test_series_merge_rejects_shape_mismatch(self):
-        a = TimeSeries("x", window=10, n_windows=3)
-        b = TimeSeries("x", window=10, n_windows=4)
-        with pytest.raises(ValueError):
-            a.merge(b)
 
 
 # -- exporters ---------------------------------------------------------------

@@ -271,16 +271,13 @@ StepLog = collections.namedtuple("StepLog",
 @functools.lru_cache(maxsize=None)
 def _recorded(short, kernel, chaos):
     """One Table 1 run with its :class:`StepLog` and its wrong reads
-    (:func:`~tests.sim.reads_from.read_mismatches`): fault-free with the
-    core-state trace, or under the workload's chaos plan."""
-    if chaos:
-        config = SimConfig(
-            n_cores=N_CORES, kernel=kernel, events=True,
-            metrics_window=METRICS_WINDOW, faults=_chaos_plan(short))
-    else:
-        config = SimConfig(
-            n_cores=N_CORES, kernel=kernel, events=True, trace=True,
-            metrics_window=METRICS_WINDOW)
+    (:func:`~tests.sim.reads_from.read_mismatches`): fault-free or under
+    the workload's chaos plan, with the core-state trace either way (a
+    fail-stopped core's trace ends at its death)."""
+    config = SimConfig(
+        n_cores=N_CORES, kernel=kernel, events=True, trace=True,
+        metrics_window=METRICS_WINDOW,
+        faults=_chaos_plan(short) if chaos else None)
     proc = _StepRecorder(_program(short), config)
     result = proc.run()
     return (result, StepLog(proc.steps, proc.repeats, proc.moves, proc.span,
@@ -346,6 +343,43 @@ class TestTable1Chaos:
         assert faulted.final_memory == base.final_memory
         assert faulted.cycles >= base.cycles
         assert faulted.fault_stats["deaths"] == 2
+
+
+class TestTimeline:
+    """Each core's state timeline (``Core.timeline``) is the kernel's one
+    core-state record: ``trace``, ``events`` and ``metrics_window`` only
+    choose what a result hands out, never what the kernel records."""
+
+    @pytest.mark.parametrize("chaos", [False, True],
+                             ids=["fault_free", "chaos"])
+    def test_switches_leave_the_timeline_alone(self, chaos):
+        faults = _chaos_plan("quicksort") if chaos else None
+        recorded = {}
+        for kernel in ("event", "naive"):
+            for trace in (False, True):
+                for events in (False, True):
+                    for window in (None, METRICS_WINDOW):
+                        result, proc = simulate(
+                            _program("quicksort"),
+                            SimConfig(n_cores=N_CORES, kernel=kernel,
+                                      trace=trace, events=events,
+                                      metrics_window=window,
+                                      faults=faults))
+                        recorded[kernel, trace, events, window] = (
+                            result.cycles,
+                            [core.timeline for core in proc.cores])
+        first, (cycles, timelines) = next(iter(recorded.items()))
+        for combo, other in recorded.items():
+            assert other == (cycles, timelines), (first, combo)
+        deaths = ({death.core: death.cycle for death in faults.deaths}
+                  if chaos else {})
+        assert len(deaths) == (2 if chaos else 0)
+        for core, runs in enumerate(timelines):
+            # a core is alive until the cycle before its fail-stop
+            alive = deaths[core] - 1 if core in deaths else cycles
+            assert sum(n for _, n in runs) == alive, core
+            assert all(n > 0 for _, n in runs), core
+            assert all(a[0] != b[0] for a, b in zip(runs, runs[1:])), core
 
 
 class TestLazyRequestScheduler:

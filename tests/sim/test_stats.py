@@ -5,7 +5,8 @@ import json
 
 from repro.minic import compile_source
 from repro.sim import SimConfig, simulate
-from repro.sim.stats import (CORE_STATES, SimResult, occupancy_counts,
+from repro.sim.stats import (BLOCKED, COMPUTING, CORE_STATES, FETCHING,
+                             PARKED, SimResult, occupancy_counts,
                              request_latency_stats)
 
 
@@ -87,7 +88,8 @@ def _run(**cfg):
 
 class TestOccupancyHistograms:
     def test_counts_roundtrip(self):
-        assert occupancy_counts([1, 2, 3, 4]) == {
+        runs = [[FETCHING, 1], [COMPUTING, 2], [BLOCKED, 3], [PARKED, 4]]
+        assert occupancy_counts(runs) == {
             "fetching": 1, "computing": 2, "blocked": 3, "parked": 4}
 
     def test_core_histograms_sum_to_cycles(self):

@@ -345,6 +345,18 @@ class TestDepsCLI:
         out = capsys.readouterr().out
         assert out.startswith("digraph section_deps")
 
+    @pytest.mark.parametrize("flag", ["--json", "--measure"])
+    def test_dot_rejects_json_and_measure(self, minic_file, capsys, flag):
+        # --dot --json printed dot text and then JSON on one stdout;
+        # --dot --measure simulated and printed nothing of it
+        with pytest.raises(SystemExit) as info:
+            main(["deps", minic_file, "--dot", flag])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--dot cannot be combined with --json or --measure" \
+            in captured.err
+
     def test_json_payload(self, minic_file, capsys):
         assert main(["deps", minic_file, "--json", "--validate",
                      "--cores", "16", "64"]) == 0
