@@ -1,6 +1,7 @@
 """Observability for the distributed simulator (``repro.obs``).
 
-Three layers, all built on one structured event stream:
+Four layers, built on one structured event stream (host-domain
+telemetry aside):
 
 * **event tracing** (:mod:`repro.obs.events`) — typed records (section
   fork/start/complete, renaming request issue/hop/hit/fill, NoC
@@ -14,8 +15,8 @@ Three layers, all built on one structured event stream:
 * **stall-cause attribution** (:mod:`repro.obs.stalls`) — splits every
   blocked/parked core cycle and every blocked section cycle into causes
   (``wait_register`` / ``wait_memory`` / ``noc_transit`` /
-  ``fork_latency`` / ``no_free_core`` / ``idle``), folded into
-  :class:`repro.sim.SimResult` as ``stall_causes``.
+  ``fork_latency`` / ``no_free_core`` / ``fault_recovery`` / ``idle``),
+  folded into :class:`repro.sim.SimResult` as ``stall_causes``.
 * **exporters** — a Chrome trace-event / Perfetto JSON renderer
   (:mod:`repro.obs.chrome_trace`; sections as tracks, renaming requests
   as flow arrows) and a terminal critical-path report
